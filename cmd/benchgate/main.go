@@ -52,6 +52,7 @@ var gated = []struct {
 	{name: "TLBEvict", nsGate: true},
 	{name: "RadixWalk", nsGate: true},
 	{name: "MmapAnon", nsGate: true},
+	{name: "MmapMunmapChurn", nsGate: true},
 	{name: "Protect", nsGate: true},
 	{name: "AccessSteadyState", maxNS: 160},
 	{name: "AccessSteadyStateMetrics", maxNS: 200},

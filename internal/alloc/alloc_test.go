@@ -1,6 +1,8 @@
 package alloc
 
 import (
+	"encoding/json"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -438,5 +440,108 @@ func TestNativeNoOverlapProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestObjectTableForEachIDOrder: ForEach visits exactly the live objects,
+// in ascending ObjectID (allocation) order, across frees and reuse of
+// freed native chunks.
+func TestObjectTableForEachIDOrder(t *testing.T) {
+	n := newNative(t)
+	var objs []*Object
+	for i := 0; i < 12; i++ {
+		o, _, err := n.Malloc(48, "x")
+		if err != nil {
+			t.Fatal(err)
+		}
+		objs = append(objs, o)
+	}
+	for _, i := range []int{0, 3, 4, 11} {
+		if _, err := n.Free(objs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Reuses a freed chunk's address under a fresh, larger ID.
+	reused, _, err := n.Malloc(48, "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []ObjectID
+	for i, o := range objs {
+		if i != 0 && i != 3 && i != 4 && i != 11 {
+			want = append(want, o.ID)
+		}
+	}
+	want = append(want, reused.ID)
+	var got []ObjectID
+	n.Objects().ForEach(func(o *Object) { got = append(got, o.ID) })
+	if len(got) != len(want) {
+		t.Fatalf("ForEach visited %v, want %v", got, want)
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("ForEach visited %v, want %v", got, want)
+		}
+	}
+	if tbl := n.Objects(); tbl.Get(objs[3].ID) != nil || tbl.Get(reused.ID) != reused {
+		t.Error("Get must miss freed objects and find live ones")
+	}
+}
+
+// TestUniquePageChurnReusesLeaf pins the free-then-malloc churn pattern
+// (nginx's request buffers): each pair unmaps the only page of a radix
+// leaf and maps the next page, walking the bump pointer across several
+// 8192-page leaf regions. The page table must reuse the emptied leaf
+// rather than allocate a fresh 257 KiB one per pair; what remains per
+// pair is the Object record plus amortized slice and frame growth.
+func TestUniquePageChurnReusesLeaf(t *testing.T) {
+	u := newUP(t)
+	pair := func() {
+		o, _, err := u.Malloc(32, "buf")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := u.Free(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pair() // first leaf and interior nodes
+	const pairs = 3*8192 + 64
+	first := u.Objects().Created()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(pairs, pair)
+	runtime.ReadMemStats(&after)
+	if crossed := (u.Objects().Created() - first) / 8192; crossed < 3 {
+		t.Fatalf("churn crossed %d leaf regions, want >= 3", crossed)
+	}
+	if allocs > 1 {
+		t.Errorf("malloc/free pair allocates %.0f times, want <= 1", allocs)
+	}
+	if perPair := (after.TotalAlloc - before.TotalAlloc) / (pairs + 1); perPair > 1024 {
+		t.Errorf("malloc/free pair allocates %d bytes, want <= 1024 (no fresh leaf per pair)", perPair)
+	}
+}
+
+// TestObjectJSONOmitsDetectorState: race reports serialize their
+// *Object, and verdict bytes must not depend on which detector kept what
+// host-side state on it.
+func TestObjectJSONOmitsDetectorState(t *testing.T) {
+	n := newNative(t)
+	o, _, err := n.Malloc(48, "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare, err := json.Marshal(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.DetectorState = &struct{ Epoch int }{7}
+	withState, err := json.Marshal(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(bare) != string(withState) {
+		t.Errorf("DetectorState leaks into JSON: %s vs %s", withState, bare)
 	}
 }

@@ -11,13 +11,12 @@
 //     — all three choices follow §6 verbatim, including their costs.
 //
 // Both allocators register object metadata (base, size, site) in an
-// ObjectTable so that a faulting address can be mapped back to its object,
-// which Kard's fault handler requires (§5.3).
+// ObjectTable, the allocator-side record of every object Kard's fault
+// handler resolves a faulting address to (§5.3).
 package alloc
 
 import (
 	"fmt"
-	"sort"
 
 	"kard/internal/mem"
 )
@@ -41,6 +40,14 @@ type Object struct {
 	// span belongs to this object alone.
 	FirstPage mem.Page
 	NumPages  uint64
+
+	// DetectorState is per-object scratch for the run's detector (Kard's
+	// domain record, TSan's shadow ring, Eraser's candidate lockset),
+	// like Thread.DetectorState. An engine runs exactly one detector, so
+	// the field needs no key. It is nil until the detector first tracks
+	// the object, and the detector's ObjectFreed hook clears it. Host-side
+	// bookkeeping only: it never appears in a serialized race report.
+	DetectorState any `json:"-"`
 
 	freed bool
 }
@@ -66,47 +73,33 @@ func (o *Object) String() string {
 // this metadata to locate the object for any faulting address (§5.3).
 const objectMetadataBytes = 96
 
-// ObjectTable maps addresses to live objects. Lookups must work for any
-// address inside an object, since faults report the exact faulting byte.
+// ObjectTable registers every object of a run. It is a dense slice
+// indexed by ObjectID: IDs are sequential and never reused, so object i
+// lives at objs[i-1] until it is freed, when its slot is set to nil. The
+// engine hands detectors the *Object of every access and fault directly,
+// so the table needs no address index on the simulation path.
 type ObjectTable struct {
-	space   *mem.AddressSpace
-	nextID  ObjectID
-	byID    map[ObjectID]*Object
-	byPage  map[mem.Page][]*Object // objects overlapping each page, sorted by Base
-	live    int
-	peak    int
-	created uint64
+	space *mem.AddressSpace
+	objs  []*Object // by ID-1; nil once freed
+	live  int
+	peak  int
 }
 
 // NewObjectTable creates an empty table charging metadata to as.
 func NewObjectTable(as *mem.AddressSpace) *ObjectTable {
-	return &ObjectTable{
-		space:  as,
-		byID:   make(map[ObjectID]*Object),
-		byPage: make(map[mem.Page][]*Object),
-	}
+	return &ObjectTable{space: as}
 }
 
 // Insert registers a new object and returns it.
 func (t *ObjectTable) Insert(base mem.Addr, size, padded uint64, global bool, site string) *Object {
-	t.nextID++
 	first, last := mem.PageRange(base, padded)
 	o := &Object{
-		ID: t.nextID, Base: base, Size: size, Padded: padded,
+		ID: ObjectID(len(t.objs) + 1), Base: base, Size: size, Padded: padded,
 		Global: global, Site: site,
 		FirstPage: first, NumPages: uint64(last-first) + 1,
 	}
-	t.byID[o.ID] = o
-	for p := first; p <= last; p++ {
-		s := t.byPage[p]
-		i := sort.Search(len(s), func(i int) bool { return s[i].Base > o.Base })
-		s = append(s, nil)
-		copy(s[i+1:], s[i:])
-		s[i] = o
-		t.byPage[p] = s
-	}
+	t.objs = append(t.objs, o)
 	t.live++
-	t.created++
 	if t.live > t.peak {
 		t.peak = t.live
 	}
@@ -120,22 +113,7 @@ func (t *ObjectTable) Remove(o *Object) error {
 		return fmt.Errorf("alloc: double free of %s", o)
 	}
 	o.freed = true
-	delete(t.byID, o.ID)
-	last := o.FirstPage + mem.Page(o.NumPages) - 1
-	for p := o.FirstPage; p <= last; p++ {
-		s := t.byPage[p]
-		for i, cand := range s {
-			if cand == o {
-				s = append(s[:i], s[i+1:]...)
-				break
-			}
-		}
-		if len(s) == 0 {
-			delete(t.byPage, p)
-		} else {
-			t.byPage[p] = s
-		}
-	}
+	t.objs[o.ID-1] = nil
 	t.live--
 	t.space.ChargeMetadata(-objectMetadataBytes)
 	return nil
@@ -145,22 +123,26 @@ func (t *ObjectTable) Remove(o *Object) error {
 // region counts as part of the object: a fault inside the padding is
 // attributed to the object that owns the page, exactly as Kard's
 // metadata-based resolution would.
+//
+// Lookup is diagnostic-only: it scans the table, O(objects ever
+// created). The simulation never resolves addresses to objects — every
+// access and fault already carries its *Object.
 func (t *ObjectTable) Lookup(addr mem.Addr) *Object {
-	s := t.byPage[mem.PageOf(addr)]
-	// Binary search for the last object with Base <= addr.
-	i := sort.Search(len(s), func(i int) bool { return s[i].Base > addr })
-	if i == 0 {
-		return nil
-	}
-	o := s[i-1]
-	if addr < o.Base+mem.Addr(o.Padded) {
-		return o
+	for _, o := range t.objs {
+		if o != nil && addr >= o.Base && addr < o.Base+mem.Addr(o.Padded) {
+			return o
+		}
 	}
 	return nil
 }
 
 // Get returns the object with the given ID, if live.
-func (t *ObjectTable) Get(id ObjectID) *Object { return t.byID[id] }
+func (t *ObjectTable) Get(id ObjectID) *Object {
+	if id == 0 || id > ObjectID(len(t.objs)) {
+		return nil
+	}
+	return t.objs[id-1]
+}
 
 // Live returns the number of live objects.
 func (t *ObjectTable) Live() int { return t.live }
@@ -170,11 +152,14 @@ func (t *ObjectTable) PeakLive() int { return t.peak }
 
 // Created returns the total number of objects ever registered — the
 // "sharable objects" count of Table 3.
-func (t *ObjectTable) Created() uint64 { return t.created }
+func (t *ObjectTable) Created() uint64 { return uint64(len(t.objs)) }
 
-// ForEach visits all live objects in unspecified order.
+// ForEach visits all live objects in ascending ObjectID order, which is
+// allocation order.
 func (t *ObjectTable) ForEach(f func(*Object)) {
-	for _, o := range t.byID {
-		f(o)
+	for _, o := range t.objs {
+		if o != nil {
+			f(o)
+		}
 	}
 }

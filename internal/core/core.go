@@ -113,9 +113,6 @@ type Detector struct {
 	opts Options
 	eng  *sim.Engine
 
-	// objects maps every tracked sharable object to its domain state.
-	objects map[alloc.ObjectID]*objState
-
 	// keys is the key-section map (§5.3, Figure 3): for every
 	// Read-write key, which objects it protects and which threads and
 	// sections currently hold it.
@@ -192,7 +189,6 @@ func New(opts Options) *Detector {
 	}
 	return &Detector{
 		opts:    opts,
-		objects: make(map[alloc.ObjectID]*objState),
 		seen:    make(map[raceKey]int),
 		pending: make(map[*objState]struct{}),
 		unprot:  make(map[*objState]struct{}),
@@ -216,11 +212,14 @@ func (d *Detector) Setup(e *sim.Engine) {
 func (d *Detector) Counters() Counts {
 	c := d.counts
 	c.SharedRO = 0
-	for _, os := range d.objects {
-		if os.domain == DomainReadOnly {
+	if d.eng == nil {
+		return c
+	}
+	d.eng.Objects().ForEach(func(o *alloc.Object) {
+		if os := stateOf(o); os != nil && os.domain == DomainReadOnly {
 			c.SharedRO++
 		}
-	}
+	})
 	return c
 }
 
@@ -253,7 +252,8 @@ func (d *Detector) FlushObs() {
 }
 
 // objState is Kard's per-object record: current domain, assigned key, and
-// interleaving state.
+// interleaving state. It lives in the object's alloc.Object.DetectorState
+// from allocation until free.
 type objState struct {
 	obj    *alloc.Object
 	domain Domain
@@ -313,13 +313,19 @@ func noteDomain(os *objState, t *sim.Thread, key int) {
 // the section-object and key-section maps).
 const objStateMetadataBytes = 112
 
+// stateOf returns the detector record of o, or nil if it has none.
+func stateOf(o *alloc.Object) *objState {
+	os, _ := o.DetectorState.(*objState)
+	return os
+}
+
 // state returns (creating if needed) the detector record for o.
 func (d *Detector) state(o *alloc.Object) *objState {
-	if os, ok := d.objects[o.ID]; ok {
+	if os := stateOf(o); os != nil {
 		return os
 	}
 	os := &objState{obj: o, domain: DomainNotAccessed}
-	d.objects[o.ID] = os
+	o.DetectorState = os
 	d.eng.Space().ChargeMetadata(objStateMetadataBytes)
 	return os
 }

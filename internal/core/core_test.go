@@ -195,7 +195,7 @@ func TestDomainMigration(t *testing.T) {
 		m.Read(o, 0, 8, "r") // NA → RO
 		m.Unlock(mu)
 
-		os := det.objects[o.ID]
+		os := stateOf(o)
 		if os.domain != DomainReadOnly {
 			t.Errorf("after read: domain = %s, want read-only", os.domain)
 		}
@@ -288,10 +288,10 @@ func TestKeyReuseWithinSection(t *testing.T) {
 		m.Write(b, 0, 8, "wb")
 		m.Write(c, 0, 8, "wc")
 		m.Unlock(mu)
-		ka := det.objects[a.ID].key
-		if det.objects[b.ID].key != ka || det.objects[c.ID].key != ka {
+		ka := stateOf(a).key
+		if stateOf(b).key != ka || stateOf(c).key != ka {
 			t.Errorf("keys differ: %v %v %v, want all equal",
-				ka, det.objects[b.ID].key, det.objects[c.ID].key)
+				ka, stateOf(b).key, stateOf(c).key)
 		}
 	})
 	if n := det.Counters().SharedRWEver; n != 3 {
@@ -324,7 +324,7 @@ func TestKeyRecycling(t *testing.T) {
 	// The recycled key's object moved to the Read-only domain.
 	recycledToRO := 0
 	for _, o := range objs {
-		if os := det.objects[o.ID]; os != nil && os.domain == DomainReadOnly {
+		if os := stateOf(o); os != nil && os.domain == DomainReadOnly {
 			recycledToRO++
 		}
 	}
@@ -673,10 +673,10 @@ func TestFreeCleansState(t *testing.T) {
 		m.Lock(mu, "s")
 		m.Write(o, 0, 8, "w")
 		m.Unlock(mu)
-		k := det.objects[o.ID].key
+		k := stateOf(o).key
 		m.Free(o)
-		if _, ok := det.objects[o.ID]; ok {
-			t.Error("object state not removed on free")
+		if o.DetectorState != nil {
+			t.Errorf("freed object's DetectorState = %v, want nil", o.DetectorState)
 		}
 		if _, ok := det.key(k).objects[o.ID]; ok {
 			t.Error("key still references freed object")
@@ -693,7 +693,7 @@ func TestNestedSectionsKeyRestore(t *testing.T) {
 		oa, ob := m.Malloc(32, "oa"), m.Malloc(32, "ob")
 		m.Lock(ma, "outer")
 		m.Write(oa, 0, 8, "wa")
-		ka := det.objects[oa.ID].key
+		ka := stateOf(oa).key
 		m.Lock(mb, "inner")
 		m.Write(ob, 0, 8, "wb")
 		m.Unlock(mb)

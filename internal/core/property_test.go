@@ -185,7 +185,8 @@ func TestInvariantKeyMapsConsistent(t *testing.T) {
 		}
 		// Every Read-write object is indexed under its key (unless
 		// temporarily unprotected) and its pages carry that key.
-		for id, os := range det.objects {
+		for _, os := range liveStates(e) {
+			id := os.obj.ID
 			if os.domain != DomainReadWrite || os.unprotected {
 				continue
 			}
@@ -262,7 +263,8 @@ func TestPropertyKeyBudgetNeverExceeded(t *testing.T) {
 
 		used := map[mpk.Pkey]bool{}
 		lastAllowed := FirstRW + mpk.Pkey(budget) - 1
-		for id, os := range det.objects {
+		for _, os := range liveStates(e) {
+			id := os.obj.ID
 			pte, ok := e.Space().Peek(os.obj.Base)
 			if !ok {
 				t.Fatalf("seed %d: object %d has no page table entry", seed, id)
@@ -343,4 +345,16 @@ func TestInvariantThreadKeysReleasedOutsideSections(t *testing.T) {
 			m.Join(w)
 		}
 	})
+}
+
+// liveStates returns the Kard records of e's live objects in ObjectID
+// order.
+func liveStates(e *sim.Engine) []*objState {
+	var out []*objState
+	e.Objects().ForEach(func(o *alloc.Object) {
+		if os := stateOf(o); os != nil {
+			out = append(out, os)
+		}
+	})
+	return out
 }

@@ -112,8 +112,8 @@ func (d *Detector) ObjectAllocated(t *sim.Thread, o *alloc.Object) cycles.Durati
 // ObjectFreed implements sim.Detector: drop tracking state; the key, if
 // any, stops protecting the object.
 func (d *Detector) ObjectFreed(t *sim.Thread, o *alloc.Object) cycles.Duration {
-	os, ok := d.objects[o.ID]
-	if !ok {
+	os := stateOf(o)
+	if os == nil {
 		return 0
 	}
 	if os.domain == DomainReadWrite && !os.unprotected && !os.soft {
@@ -121,7 +121,7 @@ func (d *Detector) ObjectFreed(t *sim.Thread, o *alloc.Object) cycles.Duration {
 	}
 	delete(d.pending, os)
 	delete(d.unprot, os)
-	delete(d.objects, o.ID)
+	o.DetectorState = nil
 	d.eng.Space().ChargeMetadata(-objStateMetadataBytes)
 	return cycles.MapUpdate
 }

@@ -22,7 +22,7 @@ func TestFigure3aTracking(t *testing.T) {
 		m.Write(oa, 0, 8, "write-oa")
 		// Inside the section the thread must now hold oa's key
 		// read-write (step 5 of Figure 3a).
-		os := det.objects[oa.ID]
+		os := stateOf(oa)
 		if os.domain != DomainReadWrite {
 			t.Fatalf("domain = %s", os.domain)
 		}
@@ -58,7 +58,7 @@ func TestFigure3bEnforcement(t *testing.T) {
 		m.Lock(la, "sa")
 		m.Write(oa, 0, 8, "w")
 		m.Unlock(la)
-		key := det.objects[oa.ID].key
+		key := stateOf(oa).key
 
 		t1 := m.Go("t1", func(w *sim.Thread) {
 			w.Lock(la, "sa") // proactive: acquires oa's key read-write
@@ -155,7 +155,7 @@ func TestReadThenWriteUpgrade(t *testing.T) {
 		m.Lock(mu, "init")
 		m.Write(o, 0, 8, "w")
 		m.Unlock(mu)
-		key := det.objects[o.ID].key
+		key := stateOf(o).key
 		// Read then write in another section.
 		m.Lock(mu2, "user")
 		m.Read(o, 0, 8, "r")

@@ -80,12 +80,12 @@ type Options struct {
 	Exact bool
 }
 
-// Detector is the happens-before race detector.
+// Detector is the happens-before race detector. Its per-object shadow
+// state lives in alloc.Object.DetectorState: a *shadow ring, or in exact
+// mode a granules map.
 type Detector struct {
 	opts  Options
 	eng   *sim.Engine
-	state map[alloc.ObjectID]*shadow
-	exact map[alloc.ObjectID]map[uint64]*granule
 	races []sim.Race
 	seen  map[dedupeKey]struct{}
 }
@@ -96,6 +96,10 @@ type granule struct {
 	cells [4]accessInfo
 	next  int
 }
+
+// granules is the exact-mode shadow state of one object, keyed by
+// granule index (offset / 8).
+type granules map[uint64]*granule
 
 type dedupeKey struct {
 	obj      alloc.ObjectID
@@ -136,10 +140,8 @@ func New(opts Options) *Detector {
 		opts.ShadowDepth = 8
 	}
 	return &Detector{
-		opts:  opts,
-		state: make(map[alloc.ObjectID]*shadow),
-		exact: make(map[alloc.ObjectID]map[uint64]*granule),
-		seen:  make(map[dedupeKey]struct{}),
+		opts: opts,
+		seen: make(map[dedupeKey]struct{}),
 	}
 }
 
@@ -186,8 +188,7 @@ func (d *Detector) ObjectAllocated(t *sim.Thread, o *alloc.Object) cycles.Durati
 
 // ObjectFreed implements sim.Detector.
 func (d *Detector) ObjectFreed(t *sim.Thread, o *alloc.Object) cycles.Duration {
-	delete(d.state, o.ID)
-	delete(d.exact, o.ID)
+	o.DetectorState = nil
 	d.eng.Space().ChargeMetadata(-(shadowMetadataBytes + int64(o.Size)/2))
 	return cycles.AtomicOp
 }
@@ -235,10 +236,10 @@ func (d *Detector) OnAccess(a *sim.Access) cycles.Duration {
 	}
 	t := a.Thread
 	tc := clockOf(t)
-	sh, ok := d.state[a.Object.ID]
-	if !ok {
+	sh, _ := a.Object.DetectorState.(*shadow)
+	if sh == nil {
 		sh = &shadow{recent: make([]accessInfo, d.opts.ShadowDepth)}
-		d.state[a.Object.ID] = sh
+		a.Object.DetectorState = sh
 	}
 	off := a.Offset()
 	cur := accessInfo{
@@ -309,10 +310,10 @@ func (d *Detector) report(a *sim.Access, prev *accessInfo, cur accessInfo) {
 func (d *Detector) onAccessExact(a *sim.Access) cycles.Duration {
 	t := a.Thread
 	tc := clockOf(t)
-	gm, ok := d.exact[a.Object.ID]
-	if !ok {
-		gm = make(map[uint64]*granule)
-		d.exact[a.Object.ID] = gm
+	gm, _ := a.Object.DetectorState.(granules)
+	if gm == nil {
+		gm = make(granules)
+		a.Object.DetectorState = gm
 	}
 	off := a.Offset()
 	cur := accessInfo{
@@ -360,10 +361,11 @@ func (d *Detector) Races() []sim.Race { return d.races }
 // parallel epoch only if replaying it cannot report a race and touches
 // nothing outside its object's shadow ring. Three veto classes:
 //
-//   - Exact mode: the per-granule shadow map inserts granules lazily, a
-//     shared-map mutation.
-//   - Unknown object: the first access inserts into d.state; one vetoed
-//     epoch replays it on the scalar path and makes the object known.
+//   - Exact mode: the per-granule shadow map inserts granules lazily,
+//     a mutation on the check path.
+//   - Unknown object (DetectorState nil): the first access creates the
+//     ring; one vetoed epoch replays it on the scalar path and makes the
+//     object known, so no parallel epoch ever writes the field.
 //   - Any surviving ring conflict: the same scan OnAccess performs. A
 //     conflict here would call report; epochs never report.
 //
@@ -376,8 +378,8 @@ func (d *Detector) EpochCheck(a *sim.Access) bool {
 	if d.opts.Exact {
 		return false
 	}
-	sh, ok := d.state[a.Object.ID]
-	if !ok {
+	sh, _ := a.Object.DetectorState.(*shadow)
+	if sh == nil {
 		return false
 	}
 	t := a.Thread

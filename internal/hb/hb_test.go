@@ -3,6 +3,7 @@ package hb
 import (
 	"testing"
 
+	"kard/internal/alloc"
 	"kard/internal/sim"
 )
 
@@ -232,13 +233,21 @@ func TestRaceDeduplication(t *testing.T) {
 }
 
 func TestFreedObjectDropsShadow(t *testing.T) {
-	_, det := run(t, func(e *sim.Engine, m *sim.Thread) {
-		o := m.Malloc(64, "o")
+	// Serial execution makes the write land before the check below.
+	e := sim.New(sim.Config{Seed: 1, ExecMode: sim.ExecModeSerial}, New(Options{}))
+	var o *alloc.Object
+	if _, err := e.Run(func(m *sim.Thread) {
+		o = m.Malloc(64, "o")
 		m.Write(o, 0, 8, "w")
+		if _, ok := o.DetectorState.(*shadow); !ok {
+			t.Errorf("live object's DetectorState = %T, want *shadow", o.DetectorState)
+		}
 		m.Free(o)
-	})
-	if len(det.state) != 0 {
-		t.Errorf("shadow entries = %d after free, want 0", len(det.state))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if o.DetectorState != nil {
+		t.Errorf("freed object's DetectorState = %v, want nil", o.DetectorState)
 	}
 }
 
@@ -312,16 +321,19 @@ func TestExactModeMatchesRingOnSimpleRace(t *testing.T) {
 
 // TestExactModeDropsFreedObjects mirrors the ring-mode cleanup test.
 func TestExactModeDropsFreedObjects(t *testing.T) {
-	det := New(Options{Exact: true})
-	e := sim.New(sim.Config{Seed: 1}, det)
+	e := sim.New(sim.Config{Seed: 1, ExecMode: sim.ExecModeSerial}, New(Options{Exact: true}))
+	var o *alloc.Object
 	if _, err := e.Run(func(m *sim.Thread) {
-		o := m.Malloc(64, "o")
+		o = m.Malloc(64, "o")
 		m.Write(o, 0, 64, "w")
+		if gm, _ := o.DetectorState.(granules); len(gm) != 8 {
+			t.Errorf("live object tracks %d granules, want 8", len(gm))
+		}
 		m.Free(o)
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if len(det.exact) != 0 {
-		t.Errorf("exact shadow entries = %d after free", len(det.exact))
+	if o.DetectorState != nil {
+		t.Errorf("freed object's exact shadow = %v, want nil", o.DetectorState)
 	}
 }

@@ -46,17 +46,15 @@ type objInfo struct {
 	lastTID  int
 }
 
-// Detector is the Eraser-style detector.
+// Detector is the Eraser-style detector. Each object's *objInfo lives in
+// alloc.Object.DetectorState.
 type Detector struct {
 	eng   *sim.Engine
-	objs  map[alloc.ObjectID]*objInfo
 	races []sim.Race
 }
 
 // New creates a lockset detector.
-func New() *Detector {
-	return &Detector{objs: make(map[alloc.ObjectID]*objInfo)}
-}
+func New() *Detector { return &Detector{} }
 
 // Name implements sim.Detector.
 func (d *Detector) Name() string { return "lockset" }
@@ -72,13 +70,13 @@ func (d *Detector) BarrierPassed(ts []*sim.Thread) cycles.Duration { return 0 }
 
 // ObjectAllocated implements sim.Detector.
 func (d *Detector) ObjectAllocated(t *sim.Thread, o *alloc.Object) cycles.Duration {
-	d.objs[o.ID] = &objInfo{st: virgin}
+	o.DetectorState = &objInfo{st: virgin}
 	return cycles.AtomicOp
 }
 
 // ObjectFreed implements sim.Detector.
 func (d *Detector) ObjectFreed(t *sim.Thread, o *alloc.Object) cycles.Duration {
-	delete(d.objs, o.ID)
+	o.DetectorState = nil
 	return cycles.AtomicOp
 }
 
@@ -124,10 +122,10 @@ func intersect(a, b []int) []int {
 // OnAccess implements sim.Detector: the Eraser state machine.
 func (d *Detector) OnAccess(a *sim.Access) cycles.Duration {
 	t := a.Thread
-	info, ok := d.objs[a.Object.ID]
-	if !ok {
+	info, _ := a.Object.DetectorState.(*objInfo)
+	if info == nil {
 		info = &objInfo{st: virgin}
-		d.objs[a.Object.ID] = info
+		a.Object.DetectorState = info
 	}
 	cost := cycles.Duration(a.Units()) * cycles.LocksetAccess
 
@@ -197,8 +195,8 @@ func (d *Detector) Races() []sim.Race { return d.races }
 
 // Describe formats the candidate lockset of an object for diagnostics.
 func (d *Detector) Describe(o *alloc.Object) string {
-	info, ok := d.objs[o.ID]
-	if !ok {
+	info, _ := o.DetectorState.(*objInfo)
+	if info == nil {
 		return "untracked"
 	}
 	names := []string{"virgin", "exclusive", "shared", "shared-modified"}
@@ -218,13 +216,13 @@ func sectionLabel(t *sim.Thread) string {
 // that Eraser resolves without refining C(v) are epoch-safe — Virgin
 // (becomes Exclusive, owned by the accessor) and Exclusive under the same
 // owner. Both mutate only the object's own record and can never report.
-// Unknown objects veto because the first access inserts into the shared
-// object map; Shared/Shared-Modified veto because refine may empty C(v)
-// and report. Same-thread epoch commits preserve the verdict: Virgin can
+// Unknown objects (DetectorState nil) veto because the first access
+// creates the record, so no parallel epoch ever writes the field;
+// Shared/Shared-Modified veto because refine may empty C(v) and report. Same-thread epoch commits preserve the verdict: Virgin can
 // only advance to Exclusive-with-this-owner, which is itself safe.
 func (d *Detector) EpochCheck(a *sim.Access) bool {
-	info, ok := d.objs[a.Object.ID]
-	if !ok {
+	info, _ := a.Object.DetectorState.(*objInfo)
+	if info == nil {
 		return false
 	}
 	switch info.st {

@@ -3,6 +3,7 @@ package lockset
 import (
 	"testing"
 
+	"kard/internal/alloc"
 	"kard/internal/sim"
 )
 
@@ -184,5 +185,33 @@ func TestNestedLocksRefine(t *testing.T) {
 	})
 	if len(st.Races) != 0 {
 		t.Fatalf("common inner lock should keep C(v) nonempty: %+v", st.Races)
+	}
+}
+
+// TestFreedObjectDropsState: an object's Eraser record lives in its
+// DetectorState from allocation until free; Describe follows it.
+func TestFreedObjectDropsState(t *testing.T) {
+	det := New()
+	// Serial execution makes each write land before the check after it.
+	e := sim.New(sim.Config{Seed: 1, ExecMode: sim.ExecModeSerial}, det)
+	var o *alloc.Object
+	if _, err := e.Run(func(m *sim.Thread) {
+		o = m.Malloc(64, "o")
+		if got := det.Describe(o); got != "virgin" {
+			t.Errorf("fresh object: Describe = %q, want virgin", got)
+		}
+		m.Write(o, 0, 8, "w")
+		if got := det.Describe(o); got != "exclusive" {
+			t.Errorf("after one write: Describe = %q, want exclusive", got)
+		}
+		m.Free(o)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if o.DetectorState != nil {
+		t.Errorf("freed object's DetectorState = %v, want nil", o.DetectorState)
+	}
+	if got := det.Describe(o); got != "untracked" {
+		t.Errorf("freed object: Describe = %q, want untracked", got)
 	}
 }

@@ -110,3 +110,28 @@ func BenchmarkProtect(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkMmapMunmapChurn measures the unique-page allocator's
+// free-then-malloc churn: each iteration maps one page of an in-memory
+// file and unmaps it, so the bump pointer advances through leaf regions
+// and every iteration empties the leaf it just populated. The page table
+// reuses that leaf for the next region, so the loop must stay at 0
+// allocs/op (a fresh leaf per region is 257 KiB).
+func BenchmarkMmapMunmapChurn(b *testing.B) {
+	as := NewAddressSpace(0)
+	f := as.NewMemfd("churn")
+	if err := f.Truncate(PageSize); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a, err := as.MmapShared(f, 0, 1, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := as.Munmap(a, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -54,7 +54,14 @@ const (
 )
 
 type radixTable struct {
-	root   [radixFan]*radixL2
+	root [radixFan]*radixL2
+	// spare is the last leaf remove emptied, kept for the next insert
+	// that needs a leaf. remove zeroes every PTE and presence bit it
+	// clears, so an emptied leaf is already all-zero and is reused
+	// without clearing. The bump allocator maps the next region right
+	// after unmapping the last page of the previous one, so one spare
+	// turns a 257 KiB allocation per region into none.
+	spare  *radixLeaf
 	n      int
 	depths [4]uint64 // lookups terminating after touching 1..4 nodes
 }
@@ -128,7 +135,11 @@ func (t *radixTable) insert(p Page, pte PTE) *PTE {
 	}
 	leaf := l3.kids[(p>>radixBits)&radixMask]
 	if leaf == nil {
-		leaf = new(radixLeaf)
+		if leaf = t.spare; leaf != nil {
+			t.spare = nil
+		} else {
+			leaf = new(radixLeaf)
+		}
 		l3.kids[(p>>radixBits)&radixMask] = leaf
 	}
 	i := p & radixMask
@@ -163,11 +174,13 @@ func (t *radixTable) remove(p Page) {
 	leaf.live--
 	t.n--
 	if leaf.live == 0 {
-		// Unlink the empty leaf so long-running address spaces that
-		// unmap whole regions give the node back to the Go heap.
-		// Interior nodes are kept: they are small relative to leaves
-		// and regions are usually remapped by the bump allocator above.
+		// Unlink the empty leaf and keep it as the spare; a previous
+		// spare goes back to the Go heap, so an address space holds at
+		// most one empty leaf. Interior nodes are kept: they are small
+		// relative to leaves and regions are usually remapped by the
+		// bump allocator above.
 		l3.kids[(p>>radixBits)&radixMask] = nil
+		t.spare = leaf
 	}
 }
 

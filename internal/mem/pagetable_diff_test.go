@@ -295,6 +295,74 @@ func TestPageTableDifferential(t *testing.T) {
 	}
 }
 
+// TestPageTableSpareLeafReuse drives both tables through the churn the
+// radix table's spare leaf exists for: empty a leaf completely, then map
+// into a different 8192-page region, which must reuse the emptied leaf.
+// The reused leaf must carry nothing over — every PTE, presence bit and
+// statistic agrees with the map reference.
+func TestPageTableSpareLeafReuse(t *testing.T) {
+	d := newDiffPair()
+	rt := d.radix.pages.(*radixTable)
+	mmap := func(f func(as *AddressSpace, fd *Memfd) (Addr, error)) Addr {
+		t.Helper()
+		a1, err1 := f(d.radix, d.fdR)
+		a2, err2 := f(d.ref, d.fdM)
+		if err1 != nil || err2 != nil || a1 != a2 {
+			t.Fatalf("radix (%s, %v) vs ref (%s, %v)", a1, err1, a2, err2)
+		}
+		return a1
+	}
+	both := func(f func(as *AddressSpace) error) {
+		t.Helper()
+		if err1, err2 := f(d.radix), f(d.ref); err1 != nil || err2 != nil {
+			t.Fatalf("radix %v, ref %v", err1, err2)
+		}
+	}
+	if err1, err2 := d.fdR.Truncate(4*PageSize), d.fdM.Truncate(4*PageSize); err1 != nil || err2 != nil {
+		t.Fatal(err1, err2)
+	}
+	// Fill part of one leaf with anonymous and shared pages, touch and
+	// retag them, then unmap them all.
+	anon := mmap(func(as *AddressSpace, _ *Memfd) (Addr, error) { return as.MmapAnon(5, 3) })
+	shared := mmap(func(as *AddressSpace, fd *Memfd) (Addr, error) { return as.MmapShared(fd, PageSize, 2, 7) })
+	for _, a := range []Addr{anon, anon + 4*PageSize, shared + PageSize} {
+		both(func(as *AddressSpace) error { return as.Store(a+8, []byte("stale")) })
+		both(func(as *AddressSpace) error { return as.Protect(a, 1, 9) })
+	}
+	d.compareState(t)
+	p := PageOf(anon)
+	leaf := rt.root[p>>(3*radixBits)].kids[(p>>(2*radixBits))&radixMask].kids[(p>>radixBits)&radixMask]
+	both(func(as *AddressSpace) error { return as.Munmap(anon, 5) })
+	both(func(as *AddressSpace) error { return as.Munmap(shared, 2) })
+	if rt.spare != leaf {
+		t.Fatal("emptied leaf was not kept as the spare")
+	}
+	d.compareState(t)
+
+	// Jump the bump pointer into the next region: its first insert takes
+	// the spare.
+	next := (p>>radixBits + 1) << radixBits
+	d.radix.nextPage, d.ref.nextPage = next+100, next+100
+	a := mmap(func(as *AddressSpace, fd *Memfd) (Addr, error) { return as.MmapShared(fd, 0, 3, 4) })
+	if rt.spare != nil {
+		t.Fatal("insert into a new region did not take the spare leaf")
+	}
+	both(func(as *AddressSpace) error { return as.Store(a+PageSize, []byte("fresh")) })
+	b := mmap(func(as *AddressSpace, _ *Memfd) (Addr, error) { return as.MmapAnon(2, 0) })
+	for _, addr := range []Addr{a, a + 2*PageSize, b, b + PageSize, next.Base(), (next + 99).Base(), anon} {
+		p1, miss1, minor1, err1 := d.radix.Translate(addr)
+		p2, miss2, minor2, err2 := d.ref.Translate(addr)
+		if miss1 != miss2 || minor1 != minor2 || (err1 == nil) != (err2 == nil) {
+			t.Fatalf("Translate(%s): radix (miss=%v minor=%v err=%v) vs ref (miss=%v minor=%v err=%v)",
+				addr, miss1, minor1, err1, miss2, minor2, err2)
+		}
+		if err1 == nil {
+			comparePTE(t, addr, p1, p2)
+		}
+	}
+	d.compareState(t)
+}
+
 // TestMmapSharedRollbackRestoresReservation pins the partial-failure
 // contract: when a later page of a MAP_SHARED range fails, the pages
 // already mapped are unwound and the address-space reservation is given

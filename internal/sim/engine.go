@@ -546,10 +546,11 @@ func (e *Engine) takeRunErrs() error {
 // abortTimeout tears the run down after the watchdog fired: every thread
 // known to be parked (at the scheduler or in a synchronization queue) is
 // released with errAborted; threads still executing body code cannot be
-// stopped safely and their goroutines are leaked — by construction at
-// most one runs at a time, and it parks (dormant, still leaked) at its
-// next operation. bound is the wall-clock bound that fired;
-// deadlineBound marks it as the job deadline rather than the watchdog
+// stopped safely — by construction at most one runs at a time — so a
+// reaper goroutine waits for each to park at its next operation and
+// releases it then. Only a body that never reaches another operation
+// keeps its goroutine (and the reaper's). bound is the wall-clock bound
+// that fired; deadlineBound marks it as the job deadline rather than the watchdog
 // setting.
 func (e *Engine) abortTimeout(bound time.Duration, deadlineBound bool) error {
 	// Collect threads that parked between the timeout and now.
@@ -581,7 +582,7 @@ func (e *Engine) abortTimeout(bound time.Duration, deadlineBound bool) error {
 	for _, t := range e.queueBlocked() {
 		safe[t] = true
 	}
-	var leaked []string
+	var running []string
 	for _, t := range e.threads {
 		if t.done {
 			continue
@@ -590,8 +591,17 @@ func (e *Engine) abortTimeout(bound time.Duration, deadlineBound bool) error {
 			t.done = true
 			t.resume <- opResult{err: errAborted}
 		} else {
-			leaked = append(leaked, fmt.Sprintf("%s(#%d)", t.name, t.id))
+			running = append(running, fmt.Sprintf("%s(#%d)", t.name, t.id))
 		}
+	}
+	if n := len(running); n > 0 {
+		// The scheduler loop is gone, so nothing else receives from
+		// arrivals: each running thread's next submit lands here.
+		go func() {
+			for ; n > 0; n-- {
+				(<-e.arrivals).resume <- opResult{err: errAborted}
+			}
+		}()
 	}
 	var err error
 	if deadlineBound {
@@ -600,8 +610,8 @@ func (e *Engine) abortTimeout(bound time.Duration, deadlineBound bool) error {
 	} else {
 		err = fmt.Errorf("sim: %w: run exceeded %v wall-clock\n%s", ErrWatchdog, bound, dump)
 	}
-	if len(leaked) > 0 {
-		err = fmt.Errorf("%w\n(goroutines of running threads %v were leaked)", err, leaked)
+	if len(running) > 0 {
+		err = fmt.Errorf("%w\n(threads %v were running body code; they are released at their next operation)", err, running)
 	}
 	return err
 }
@@ -634,20 +644,32 @@ func (e *Engine) startThread(name string, start cycles.Time, body func(*Thread))
 					// the error chain identifies the site) and exit
 					// the thread so the scheduler keeps running.
 					e.FailRun(fmt.Errorf("thread %s(#%d): %w", t.name, t.id, oe.err))
-					t.submit(op{kind: opExit})
+					t.exitFromRecover()
 					return
 				}
 				// An unrecovered panic in the thread body: record it
 				// and exit the thread normally so the scheduler keeps
 				// running and Run can report the panic as an error.
 				e.recordPanic(t, r)
-				t.submit(op{kind: opExit})
+				t.exitFromRecover()
 			}
 		}()
 		body(t)
 		t.submit(op{kind: opExit})
 	}()
 	return t
+}
+
+// exitFromRecover submits the thread's exit from inside its recover
+// handler. A teardown may answer that submit with errAborted; nothing
+// above the handler recovers, so the panic is absorbed here.
+func (t *Thread) exitFromRecover() {
+	defer func() {
+		if r := recover(); r != nil && r != any(errAborted) {
+			panic(r)
+		}
+	}()
+	t.submit(op{kind: opExit})
 }
 
 // recordPanic captures an unrecovered thread-body panic, with the stack of

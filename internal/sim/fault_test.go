@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -40,6 +41,46 @@ func TestWatchdogAbortsHungRun(t *testing.T) {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("dump missing %q in:\n%s", want, err)
 		}
+	}
+}
+
+// TestWatchdogReleasesRunningThread: a thread still executing body code
+// when the watchdog fires cannot be stopped then, but once it reaches
+// its next operation — a normal one, or the exit submitted after an
+// unrecovered panic — it must be released and its goroutine must exit.
+func TestWatchdogReleasesRunningThread(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		then func(*Thread)
+	}{
+		{"operation", func(m *Thread) { m.Compute(1) }},
+		{"panic", func(*Thread) { panic("body failed after the watchdog") }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			gate := make(chan struct{})
+			e := New(Config{Watchdog: 20 * time.Millisecond}, nil)
+			_, err := e.Run(func(m *Thread) {
+				m.Compute(1)
+				<-gate // host-blocked in body code, never parked
+				tc.then(m)
+			})
+			if !errors.Is(err, ErrWatchdog) {
+				t.Fatalf("got %v, want ErrWatchdog", err)
+			}
+			if !strings.Contains(err.Error(), "released at their next operation") {
+				t.Errorf("error does not name the running thread:\n%s", err)
+			}
+			close(gate)
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+				time.Sleep(10 * time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > base {
+				buf := make([]byte, 1<<20)
+				t.Fatalf("goroutines leaked: %d -> %d\n%s", base, n, buf[:runtime.Stack(buf, true)])
+			}
+		})
 	}
 }
 
