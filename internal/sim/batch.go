@@ -29,6 +29,7 @@ package sim
 import (
 	"fmt"
 	"math/bits"
+	"runtime/debug"
 	"sync"
 
 	"kard/internal/alloc"
@@ -53,8 +54,10 @@ const (
 )
 
 // DefaultBatchSize is the per-thread access buffer capacity when
-// Config.BatchSize is zero. One park/resume cycle (~750 ns) amortized
-// over 128 accesses costs ~6 ns/access.
+// Config.BatchSize is zero. A drain parks the thread once — under 100 ns
+// when it resumes itself, a few hundred when it hands the run to another
+// thread (BenchmarkOpDispatch, BenchmarkContendedScheduling) — which 128
+// accesses amortize to a few ns each.
 const DefaultBatchSize = 128
 
 // epochMinEntries is the smallest total number of buffered accesses worth
@@ -74,8 +77,8 @@ type batchEntry struct {
 }
 
 // bufferAccess appends one access to the thread's batch, draining first
-// if the buffer is full. Called on the thread's goroutine while it holds
-// the run token, like any other operation submission.
+// if the buffer is full. Called on the thread's goroutine between two
+// operations, when no other thread runs, like any other submission.
 func (t *Thread) bufferAccess(ent batchEntry) {
 	if t.batch == nil {
 		t.batch = make([]batchEntry, 0, t.eng.batchSize)
@@ -134,7 +137,7 @@ func (e *Engine) executeBatchEntry(t *Thread) {
 	}
 	if err != nil {
 		t.clearBatch()
-		t.resume <- opResult{err: err}
+		e.wake(t, opResult{err: err})
 		return
 	}
 	if t.batchPos == len(t.batch) {
@@ -165,16 +168,16 @@ func (e *Engine) BatchStats() (drains, epochs, epochAccesses, vetoes uint64) {
 // --- parallel reconciliation epochs ---------------------------------------
 
 // tryEpoch attempts one reconciliation epoch. Preconditions checked here
-// (cheap, every scheduling round): every parked thread's final operation
-// is a pure sync point (drain or compute — anything that can mutate
-// detector, allocator, or page-table state between batched accesses
-// vetoes, because the scalar interleaving could order it between them),
-// at least two threads hold un-replayed batches, and the total is worth
-// the admission pass. epochHold suppresses re-admission of a vetoed
-// configuration until a new arrival changes it, keeping the scalar replay
-// of a vetoed batch O(n) instead of O(n²).
+// (cheap, every scheduling round): epochs are enabled, every parked thread's
+// final operation is a pure sync point (drain or compute — anything that can
+// mutate detector, allocator, or page-table state between batched accesses
+// vetoes, because the scalar interleaving could order it between them), at
+// least two threads hold un-replayed batches, and the total is worth the
+// admission pass. epochHold suppresses re-admission of a vetoed
+// configuration until a new arrival changes it, keeping the scalar replay of
+// a vetoed batch O(n) instead of O(n²).
 func (e *Engine) tryEpoch() {
-	if e.epochHold || len(e.parked) < 2 {
+	if e.epochDet == nil || e.epochHold || len(e.parked) < 2 {
 		return
 	}
 	total, holders := 0, 0
@@ -231,7 +234,7 @@ func (e *Engine) epochAdmit() bool {
 }
 
 // sweepSize is the per-object access size of a sweep entry, clamped to
-// the object like executeSweep does.
+// the object like sweepCore does.
 func sweepSize(size uint64, obj *alloc.Object) uint64 {
 	if size > obj.Padded {
 		return obj.Padded
@@ -261,18 +264,17 @@ func (e *Engine) admitAccess(t *Thread, obj *alloc.Object, off, size uint64, kin
 	return e.epochDet.EpochCheck(&t.epochScratch)
 }
 
-// runEpoch commits an admitted epoch. Phase A runs on the scheduler
-// goroutine in thread-creation order: per access, the exact dTLB hit
-// commits Translate would have made (all hits — admission proved
-// residency, and all-hit CLOCK commits are order-independent: used bits
-// are idempotent, the hand does not move, the hits counter is a sum, and
-// the MRU hint never changes a hit/miss outcome), the base access charge,
-// and the detector cost from EpochCost, which by contract is clock-free
-// and equal to what OnAccess returns. Phase B fans the OnAccess replay
-// out across one goroutine per thread — per-thread program order,
-// threads concurrent — and verifies each returned cost against the
-// pre-charged prediction, converting any divergence into a FailRun
-// instead of a silently wrong clock.
+// runEpoch commits an admitted epoch. Phase A runs in the pick loop, in
+// thread-creation order: per access, the exact dTLB hit commits Translate
+// would have made (all hits — admission proved residency, and all-hit CLOCK
+// commits are order-independent: used bits are idempotent, the hand does not
+// move, the hits counter is a sum, and the MRU hint never changes a hit/miss
+// outcome), the base access charge, and the detector cost from EpochCost,
+// which by contract is clock-free and equal to what OnAccess returns. Phase
+// B fans the OnAccess replay out across one goroutine per thread —
+// per-thread program order, threads concurrent — and verifies each returned
+// cost against the pre-charged prediction, converting any divergence into a
+// FailRun instead of a silently wrong clock.
 func (e *Engine) runEpoch() {
 	e.epochThreads = e.epochThreads[:0]
 	inEpoch := func(t *Thread) bool {
@@ -288,10 +290,10 @@ func (e *Engine) runEpoch() {
 			e.epochThreads = append(e.epochThreads, t)
 		}
 	}
-	// Epoch spans record on the scheduler goroutine with logical
-	// timestamps ("just after the previous event"): per-thread virtual
-	// clocks inside an epoch are incomparable, and the span brackets both
-	// phases, including the concurrent Phase B.
+	// Epoch spans record from the pick loop with logical timestamps ("just
+	// after the previous event"): per-thread virtual clocks inside an epoch
+	// are incomparable, and the span brackets both phases, including the
+	// concurrent Phase B.
 	e.tr.Begin("epoch", "sim", -1)
 	e.tr.Begin("epoch.commit", "sim", -1)
 
@@ -312,16 +314,32 @@ func (e *Engine) runEpoch() {
 	e.tr.End("epoch.commit", "sim", -1)
 	e.tr.Begin("epoch.replay", "sim", -1)
 
-	// Phase B: concurrent detector replay, one worker per thread.
-	var wg sync.WaitGroup
+	// Phase B: concurrent detector replay, one worker per thread. A
+	// worker's panic (a detector bug) is re-raised here, in the pick loop,
+	// whose panic net tears the run down.
+	var (
+		wg     sync.WaitGroup
+		mu     sync.Mutex
+		failed any
+	)
 	for _, t := range e.epochThreads {
 		wg.Add(1)
 		go func(t *Thread) {
 			defer wg.Done()
+			defer func() {
+				if p := recover(); p != nil {
+					mu.Lock()
+					failed = fmt.Sprintf("%v\n\nepoch worker goroutine:\n%s", p, debug.Stack())
+					mu.Unlock()
+				}
+			}()
 			e.commitDetector(t)
 		}(t)
 	}
 	wg.Wait()
+	if failed != nil {
+		panic(failed)
+	}
 	e.tr.EndArg("epoch.replay", "sim", -1, "threads", int64(len(e.epochThreads)))
 
 	var committed uint64

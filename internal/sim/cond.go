@@ -58,14 +58,14 @@ func (e *Engine) executeCond(t *Thread, o op) {
 	case opCondWait:
 		m := c.mu
 		if m.holder != t {
-			t.resume <- opResult{err: fmt.Errorf("sim: thread %d waiting on %s without holding %s", t.id, c, m)}
+			e.wake(t, opResult{err: fmt.Errorf("sim: thread %d waiting on %s without holding %s", t.id, c, m)})
 			return
 		}
 		// Release the mutex exactly as Unlock does, remembering the
 		// section site to re-enter on wakeup.
-		entry := t.popSection(m)
-		if entry == nil {
-			t.resume <- opResult{err: fmt.Errorf("sim: thread %d has no section for %s", t.id, m)}
+		entry, ok := t.popSection(m)
+		if !ok {
+			e.wake(t, opResult{err: fmt.Errorf("sim: thread %d has no section for %s", t.id, m)})
 			return
 		}
 		t.condSite = entry.Section.Site
@@ -75,25 +75,24 @@ func (e *Engine) executeCond(t *Thread, o op) {
 		m.lastRelease = t.clock
 		m.holder = nil
 		c.waiting = append(c.waiting, t)
-		e.runnable--
 		e.wakeMutexWaiter(m)
 		// t stays blocked until Signal/Broadcast.
 
 	case opCondSignal:
+		e.wake(t, opResult{})
 		if len(c.waiting) > 0 {
-			w := e.pickRWWaiter(&c.waiting)
+			w := e.pickWaiter(&c.waiting)
 			e.wakeWaiter(c, w, t)
 		}
 		t.charge(cycles.LockUncontended)
-		t.resume <- opResult{}
 
 	case opCondBroadcast:
+		e.wake(t, opResult{})
 		for len(c.waiting) > 0 {
-			w := e.pickRWWaiter(&c.waiting)
+			w := e.pickWaiter(&c.waiting)
 			e.wakeWaiter(c, w, t)
 		}
 		t.charge(cycles.LockUncontended)
-		t.resume <- opResult{}
 	}
 }
 
@@ -104,8 +103,7 @@ func (e *Engine) wakeWaiter(c *Cond, w *Thread, signaler *Thread) {
 	m := c.mu
 	if m.holder == nil {
 		e.reacquireForWait(w, m)
-		e.runnable++
-		w.resume <- opResult{}
+		e.wake(w, opResult{})
 		return
 	}
 	// Mutex busy: park the waiter on the mutex queue; the unlock path
@@ -118,18 +116,4 @@ func (e *Engine) wakeWaiter(c *Cond, w *Thread, signaler *Thread) {
 func (e *Engine) reacquireForWait(w *Thread, m *Mutex) {
 	w.clock = cycles.Max(w.clock, m.lastRelease).Add(cycles.LockUncontended)
 	e.grantLock(w, m, w.condSite)
-}
-
-// wakeMutexWaiter hands the mutex to its next waiter after a condition
-// wait released it (same policy as the unlock path).
-func (e *Engine) wakeMutexWaiter(m *Mutex) {
-	if m.holder != nil || len(m.waiters) == 0 {
-		return
-	}
-	w := e.dequeueWaiter(m)
-	w.clock = cycles.Max(w.clock, m.lastRelease).Add(cycles.LockHandoff)
-	m.contended++
-	e.grantLock(w, m, w.pending.site)
-	e.runnable++
-	w.resume <- opResult{}
 }

@@ -77,45 +77,48 @@ func (e *Engine) blockageReport() string {
 	return strings.Join(lines, "\n")
 }
 
-// queueBlocked returns every thread parked in a synchronization queue —
-// mutex and rwmutex waiters, condition and barrier waits, joiners. Such
-// threads are blocked at their resume channel without appearing in the
-// scheduler's parked list, so watchdog teardown can release them safely.
-func (e *Engine) queueBlocked() []*Thread {
-	var out []*Thread
+// blockedSet returns every thread blocked at its resume channel, which
+// watchdog teardown can therefore release safely: parked at the pick
+// loop, woken but not yet resumed, or waiting in a synchronization queue
+// (mutex, rwmutex, condition, barrier, join). A live thread outside the
+// set is running body code.
+func (e *Engine) blockedSet() map[*Thread]bool {
+	set := make(map[*Thread]bool, len(e.threads))
+	add := func(ts []*Thread) {
+		for _, t := range ts {
+			set[t] = true
+		}
+	}
+	add(e.parked)
+	for _, w := range e.ready[e.readyHead:] {
+		set[w.t] = true
+	}
 	for _, m := range e.mutexes {
-		out = append(out, m.waiters...)
+		add(m.waiters)
 	}
 	for _, rw := range e.rwmutexes {
-		out = append(out, rw.waitingW...)
-		out = append(out, rw.waitingR...)
+		add(rw.waitingW)
+		add(rw.waitingR)
 	}
 	for _, c := range e.conds {
-		out = append(out, c.waiting...)
+		add(c.waiting)
 	}
 	for _, b := range e.barriers {
-		out = append(out, b.waiting...)
+		add(b.waiting)
 	}
 	for _, t := range e.threads {
-		out = append(out, t.joiners...)
+		add(t.joiners)
 	}
-	return out
+	return set
 }
 
 // stateDump renders every thread's state — virtual clock, operation
-// count, and whether it is exited, parked (and on what operation),
-// blocked in a synchronization queue, or still running — plus the
-// blockage report. Watchdog-timeout errors carry it so a hung cell is
-// diagnosable from its error alone.
+// count, and whether it is exited, blocked (parked at the pick loop, woken,
+// or in a synchronization queue, and at what operation), or still running
+// body code — plus the blockage report. Watchdog-timeout errors carry it so
+// a hung cell is diagnosable from its error alone. The caller holds sched.
 func (e *Engine) stateDump() string {
-	parked := map[*Thread]bool{}
-	for _, t := range e.parked {
-		parked[t] = true
-	}
-	queued := map[*Thread]bool{}
-	for _, t := range e.queueBlocked() {
-		queued[t] = true
-	}
+	blocked := e.blockedSet()
 	var lines []string
 	for _, t := range e.threads {
 		var line string
@@ -123,17 +126,10 @@ func (e *Engine) stateDump() string {
 		case t.done:
 			line = fmt.Sprintf("  thread %d (%s): clock %d, %d ops, exited",
 				t.id, t.name, uint64(t.clock), t.opCount)
-		case parked[t]:
-			line = fmt.Sprintf("  thread %d (%s): clock %d, %d ops, parked at %s",
-				t.id, t.name, uint64(t.clock), t.opCount, t.pending.kind)
-		case queued[t]:
+		case blocked[t]:
 			line = fmt.Sprintf("  thread %d (%s): clock %d, %d ops, blocked at %s",
 				t.id, t.name, uint64(t.clock), t.opCount, t.pending.kind)
 		default:
-			// The thread's body goroutine may still be executing (a
-			// runner the watchdog could not park): reading its pending
-			// op or op count here would be a host-level data race. The
-			// clock is advanced only by the engine, which has stopped.
 			line = fmt.Sprintf("  thread %d (%s): clock %d, running",
 				t.id, t.name, uint64(t.clock))
 		}

@@ -99,19 +99,26 @@ type Engine struct {
 	sections    map[string]*CriticalSection
 	sectionList []*CriticalSection
 
-	arrivals chan *Thread
-	parked   []*Thread
-	runnable int
-	threads  []*Thread
-
-	// runToken is a capacity-1 semaphore serializing workload-body code:
-	// a thread goroutine holds it from resume to its next park, so even
-	// when the scheduler wakes several threads at once (barrier release,
-	// lock handoff, join) their Go code runs one at a time with
-	// happens-before edges between bursts. Simulated time is unaffected —
-	// the scheduler already waits for every runnable thread to park
-	// before executing the next operation.
-	runToken chan struct{}
+	// Scheduling (DESIGN.md §7): the thread that submits an operation
+	// takes sched and runs the pick loop itself (Engine.schedule) until
+	// some thread is woken, then resumes the first woken thread directly.
+	// Exactly one goroutine — the loop holder or the thread it resumed —
+	// runs at a time, so workload body code is serialized with
+	// happens-before edges at every hand-off.
+	sched     sync.Mutex
+	parked    []*Thread // threads whose next operation is pick-eligible
+	ready     []wakeup  // woken threads in wake order, not yet resumed
+	readyHead int
+	threads   []*Thread
+	// abort is set (under sched) once Run tears the run down: submit then
+	// unwinds the calling body with errAborted instead of scheduling.
+	abort bool
+	// done is closed by the loop holder that finds no thread left to
+	// pick; Run waits on it.
+	done chan struct{}
+	// loopPanic describes an engine or detector panic raised by the pick
+	// loop on a thread goroutine; Run re-panics it on its caller's.
+	loopPanic any
 
 	startup cycles.Time
 
@@ -122,8 +129,7 @@ type Engine struct {
 	accessUnits       uint64
 	tlbMissUnits      uint64
 	globalsRegistered int
-	running           bool
-	finished          bool
+	started           bool // Run was called
 	obsFlushed        bool
 
 	// panics records unrecovered panics from thread bodies (guarded by
@@ -147,9 +153,9 @@ type Engine struct {
 	// the per-access path allocation-free (a local would escape to the
 	// heap through the interface call); detectors must not retain the
 	// pointer past the OnAccess call, which the Detector interface
-	// documents. Those paths run only on the scheduler goroutine, so one
-	// record per engine is safe; parallel epochs use the per-thread
-	// epochScratch records instead.
+	// documents. Those paths run only inside the pick loop, under sched,
+	// so one record per engine is safe; parallel epochs use the
+	// per-thread epochScratch records instead.
 	scratch Access
 
 	// Batched execution (DESIGN.md §12, internal/sim/batch.go).
@@ -173,7 +179,7 @@ type Engine struct {
 	epochVetoes   uint64
 
 	// tr is the structured trace track (Config.Trace; nil = off). All
-	// events record on the scheduler goroutine at boundary rate.
+	// events record inside the pick loop or Run, at boundary rate.
 	tr *trace.Track
 
 	// syncRing is the fixed ring of recent synchronization edges (lock,
@@ -207,8 +213,7 @@ func New(cfg Config, det Detector) *Engine {
 		space:          as,
 		objects:        tbl,
 		detector:       det,
-		arrivals:       make(chan *Thread, 64),
-		runToken:       make(chan struct{}, 1),
+		done:           make(chan struct{}),
 		sections:       make(map[string]*CriticalSection),
 		activeSections: make(map[*CriticalSection]int),
 	}
@@ -295,7 +300,7 @@ func (e *Engine) ExecMode() string { return e.execMode }
 // reports it before executing any thread, so callers registering several
 // globals need not check each one.
 func (e *Engine) Global(size uint64, name string) *alloc.Object {
-	if e.running || e.finished {
+	if e.started {
 		panic("sim: Global must be called before Run")
 	}
 	o, d, err := e.alloc.Global(size, name)
@@ -351,9 +356,10 @@ var ErrDeadline = errors.New("deadline exceeded")
 // recovering (the panic is captured and reported as the error, so one
 // diverging workload cannot take down a whole evaluation process).
 func (e *Engine) Run(body func(*Thread)) (*Stats, error) {
-	if e.finished {
+	if e.started {
 		return nil, fmt.Errorf("sim: engine already ran")
 	}
+	e.started = true
 	// Telemetry flushes exactly once per run, whatever the exit path —
 	// Finish() only runs on success, which is not enough for gauges that
 	// must be retracted on watchdog and failure teardowns too.
@@ -365,14 +371,12 @@ func (e *Engine) Run(body func(*Thread)) (*Stats, error) {
 	if err := e.takeRunErrs(); err != nil {
 		// Setup (Global registration) already failed: report it before
 		// executing any thread code.
-		e.finished = true
 		return nil, fmt.Errorf("sim: setup failed: %w", err)
 	}
 	bound, deadlineBound := e.cfg.Watchdog, false
 	if !e.cfg.Deadline.IsZero() {
 		rem := time.Until(e.cfg.Deadline)
 		if rem <= 0 {
-			e.finished = true
 			outcome = "deadline"
 			return nil, fmt.Errorf("sim: %w: job deadline %v passed before the run started",
 				ErrDeadline, e.cfg.Deadline.UTC().Format(time.RFC3339))
@@ -381,62 +385,35 @@ func (e *Engine) Run(body func(*Thread)) (*Stats, error) {
 			bound, deadlineBound = rem, true
 		}
 	}
-	e.running = true
 	var watchC <-chan time.Time
 	if bound > 0 {
 		timer := time.NewTimer(bound)
 		defer timer.Stop()
 		watchC = timer.C
 	}
+	// Run only starts main and waits: the thread goroutines schedule each
+	// other. Every exit path below holds sched with abort set, so a thread
+	// still running body code unwinds at its next operation.
 	main := e.startThread("main", e.startup, body)
-	_ = main
-
-	timedOut := false
-loop:
-	for e.runnable > 0 || len(e.parked) > 0 {
-		for len(e.parked) < e.runnable {
-			if watchC == nil {
-				e.arrive(<-e.arrivals)
-				continue
-			}
-			select {
-			case th := <-e.arrivals:
-				e.arrive(th)
-			case <-watchC:
-				timedOut = true
-				break loop
-			}
-		}
-		if len(e.parked) == 0 {
-			break
-		}
-		if watchC != nil {
-			select {
-			case <-watchC:
-				timedOut = true
-				break loop
-			default:
-			}
-		}
-		if e.epochDet != nil {
-			e.tryEpoch()
-		}
-		th := e.pickNext()
-		if th.batchPos < len(th.batch) {
-			e.executeBatchEntry(th)
-			continue
-		}
-		e.execute(th)
+	main.resume <- opResult{}
+	select {
+	case <-e.done:
+	case <-watchC:
 	}
-	e.running = false
-	e.finished = true
-
-	if timedOut {
+	e.sched.Lock() // waits out the scheduling step in flight, if any
+	defer e.sched.Unlock()
+	e.abort = true
+	select {
+	case <-e.done: // the run ended, possibly as the watchdog fired
+	default:
 		outcome = "watchdog"
 		if deadlineBound {
 			outcome = "deadline"
 		}
 		return nil, e.abortTimeout(bound, deadlineBound)
+	}
+	if p := e.loopPanic; p != nil {
+		panic(p) // every other thread was released by failSchedule
 	}
 
 	var blocked []string
@@ -543,26 +520,16 @@ func (e *Engine) takeRunErrs() error {
 	return err
 }
 
-// abortTimeout tears the run down after the watchdog fired: every thread
-// known to be parked (at the scheduler or in a synchronization queue) is
-// released with errAborted; threads still executing body code cannot be
-// stopped safely — by construction at most one runs at a time — so a
-// reaper goroutine waits for each to park at its next operation and
-// releases it then. Only a body that never reaches another operation
-// keeps its goroutine (and the reaper's). bound is the wall-clock bound
-// that fired; deadlineBound marks it as the job deadline rather than the watchdog
-// setting.
+// abortTimeout tears the run down after the watchdog fired. Run holds
+// sched with abort set, so no scheduling step is in flight: every thread
+// parked at the pick loop, woken but not yet resumed, or blocked in a
+// synchronization queue is released with errAborted. The one thread that
+// may still be running body code cannot be stopped safely; it unwinds at
+// its next operation, when submit sees abort. Only a body that never
+// reaches another operation keeps its goroutine. bound is the wall-clock
+// bound that fired; deadlineBound marks it as the job deadline rather
+// than the watchdog setting.
 func (e *Engine) abortTimeout(bound time.Duration, deadlineBound bool) error {
-	// Collect threads that parked between the timeout and now.
-	for {
-		select {
-		case th := <-e.arrivals:
-			e.parked = append(e.parked, th)
-			continue
-		default:
-		}
-		break
-	}
 	if deadlineBound {
 		obs.Flight.Recordf(obs.EvWatchdog, "job deadline fired after %v wall-clock", bound)
 		e.tr.InstantArg("watchdog", "sim", -1, "bound", "deadline", bound.Milliseconds())
@@ -575,13 +542,7 @@ func (e *Engine) abortTimeout(bound time.Duration, deadlineBound bool) error {
 	// right before the run wedged is exactly the triage context a
 	// timeout report needs.
 	dump := e.stateDump() + "\n" + obs.Flight.Dump(16)
-	safe := make(map[*Thread]bool, len(e.threads))
-	for _, t := range e.parked {
-		safe[t] = true
-	}
-	for _, t := range e.queueBlocked() {
-		safe[t] = true
-	}
+	safe := e.blockedSet()
 	var running []string
 	for _, t := range e.threads {
 		if t.done {
@@ -593,15 +554,6 @@ func (e *Engine) abortTimeout(bound time.Duration, deadlineBound bool) error {
 		} else {
 			running = append(running, fmt.Sprintf("%s(#%d)", t.name, t.id))
 		}
-	}
-	if n := len(running); n > 0 {
-		// The scheduler loop is gone, so nothing else receives from
-		// arrivals: each running thread's next submit lands here.
-		go func() {
-			for ; n > 0; n-- {
-				(<-e.arrivals).resume <- opResult{err: errAborted}
-			}
-		}()
 	}
 	var err error
 	if deadlineBound {
@@ -617,7 +569,7 @@ func (e *Engine) abortTimeout(bound time.Duration, deadlineBound bool) error {
 }
 
 // startThread creates a simulated thread at the given start time and
-// launches its goroutine.
+// launches its goroutine, which waits to be resumed before running body.
 func (e *Engine) startThread(name string, start cycles.Time, body func(*Thread)) *Thread {
 	t := &Thread{
 		id:     len(e.threads),
@@ -625,14 +577,11 @@ func (e *Engine) startThread(name string, start cycles.Time, body func(*Thread))
 		eng:    e,
 		clock:  start,
 		held:   make(map[*Mutex]bool),
-		resume: make(chan opResult),
+		resume: make(chan opResult, 1),
 	}
 	e.threads = append(e.threads, t)
-	e.runnable++
 	e.detector.ThreadStarted(t)
 	go func() {
-		e.runToken <- struct{}{}        // hold the token while running body code
-		defer func() { <-e.runToken }() // release on goroutine exit (runs last)
 		defer func() {
 			if r := recover(); r != nil {
 				if err, ok := r.(error); ok && err == errAborted {
@@ -654,6 +603,9 @@ func (e *Engine) startThread(name string, start cycles.Time, body func(*Thread))
 				t.exitFromRecover()
 			}
 		}()
+		if r := <-t.resume; r.err != nil {
+			return // released before it ever ran
+		}
 		body(t)
 		t.submit(op{kind: opExit})
 	}()
@@ -694,7 +646,88 @@ type opError struct{ err error }
 func (e *opError) Error() string { return e.err.Error() }
 func (e *opError) Unwrap() error { return e.err }
 
-// arrive admits a thread that parked at the scheduler: telemetry for a
+// wakeup is one woken thread and the result its pending operation
+// returns.
+type wakeup struct {
+	t *Thread
+	r opResult
+}
+
+// wake queues t to resume with r. Woken threads resume one at a time in
+// wake order, each running its body to its next operation.
+func (e *Engine) wake(t *Thread, r opResult) {
+	e.ready = append(e.ready, wakeup{t, r})
+}
+
+// schedule runs the pick loop on self's goroutine, which holds sched and
+// has just parked self at its next operation. The loop executes picked
+// operations until one wakes a thread, then resumes the first woken
+// thread: self by returning its result — no goroutine switch — or any
+// other thread by one direct hand-off, after which self blocks until it
+// is woken in turn. A pick happens only while no woken thread waits, so
+// at every pick each live thread is parked or queued: pick order cannot
+// depend on host scheduling. Returns with sched released.
+func (e *Engine) schedule(self *Thread) opResult {
+	defer func() {
+		if p := recover(); p != nil {
+			e.failSchedule(self, p)
+			panic(errAborted)
+		}
+	}()
+	for e.readyHead == len(e.ready) && len(e.parked) > 0 {
+		e.tryEpoch()
+		t := e.pickNext()
+		if t.batchPos < len(t.batch) {
+			e.executeBatchEntry(t)
+		} else {
+			e.execute(t)
+		}
+	}
+	var next wakeup
+	if e.readyHead < len(e.ready) {
+		next = e.ready[e.readyHead]
+		if e.readyHead++; e.readyHead == len(e.ready) {
+			e.ready, e.readyHead = e.ready[:0], 0
+		}
+	} else {
+		// Nothing left to run: every thread exited or is blocked forever.
+		// Run takes over and releases the blocked ones.
+		close(e.done)
+	}
+	if next.t == self {
+		e.sched.Unlock()
+		return next.r
+	}
+	exiting := self.done // an exited thread passes the scheduler on and ends
+	e.sched.Unlock()
+	if next.t != nil {
+		next.t.resume <- next.r
+	}
+	if exiting {
+		return opResult{}
+	}
+	return <-self.resume
+}
+
+// failSchedule tears the run down after the pick loop panicked on self's
+// goroutine — an engine or detector bug, not a workload panic. While the
+// loop runs every other live thread is blocked at its resume channel, so
+// all are released with errAborted; self unwinds with errAborted, and
+// Run re-panics on its caller's goroutine with p and this stack.
+func (e *Engine) failSchedule(self *Thread, p any) {
+	e.loopPanic = fmt.Sprintf("%v\n\npick loop goroutine:\n%s", p, debug.Stack())
+	e.abort = true
+	for _, t := range e.threads {
+		if t != self && !t.done {
+			t.resume <- opResult{err: errAborted}
+		}
+		t.done = true
+	}
+	close(e.done)
+	e.sched.Unlock()
+}
+
+// arrive admits a thread that parked at its next operation: telemetry for a
 // freshly drained batch, epoch re-admission (a new arrival is the only
 // event that can change a vetoed epoch configuration), then activation.
 func (e *Engine) arrive(t *Thread) {
@@ -761,7 +794,7 @@ func (e *Engine) execute(t *Thread) {
 	switch o.kind {
 	case opCompute:
 		t.charge(o.cost)
-		t.resume <- opResult{}
+		e.wake(t, opResult{})
 
 	case opMalloc:
 		obj, d, err := e.alloc.Malloc(o.size, o.site)
@@ -775,34 +808,34 @@ func (e *Engine) execute(t *Thread) {
 			obj, d, err = e.alloc.Malloc(o.size, o.site)
 		}
 		if err != nil {
-			t.resume <- opResult{err: err}
+			e.wake(t, opResult{err: err})
 			return
 		}
 		t.charge(d)
 		t.charge(e.detector.ObjectAllocated(t, obj))
-		t.resume <- opResult{obj: obj}
+		e.wake(t, opResult{obj: obj})
 
 	case opFree:
 		t.charge(e.detector.ObjectFreed(t, o.obj))
 		d, err := e.alloc.Free(o.obj)
 		if err != nil {
-			t.resume <- opResult{err: err}
+			e.wake(t, opResult{err: err})
 			return
 		}
 		t.charge(d)
-		t.resume <- opResult{}
+		e.wake(t, opResult{})
 
 	case opAccess:
-		e.executeAccess(t, o)
+		e.wake(t, opResult{err: e.accessCore(t, o.obj, o.off, o.size, o.access, o.site)})
 
 	case opSweep:
-		e.executeSweep(t, o)
+		e.wake(t, opResult{err: e.sweepCore(t, o.objs, o.size, o.access, o.site)})
 
 	case opDrain:
 		// The batch was fully replayed before this final op became
 		// pick-eligible (the pick loop executes queued entries first);
 		// the park itself costs nothing.
-		t.resume <- opResult{}
+		e.wake(t, opResult{})
 
 	case opRLock, opRUnlock, opWLock, opWUnlock:
 		e.executeRW(t, o)
@@ -814,37 +847,36 @@ func (e *Engine) execute(t *Thread) {
 		m := o.mutex
 		if m.holder != nil {
 			t.charge(cycles.LockUncontended)
-			t.resume <- opResult{ok: false}
+			e.wake(t, opResult{ok: false})
 			return
 		}
 		t.clock = cycles.Max(t.clock, m.lastRelease).Add(cycles.LockUncontended)
 		e.grantLock(t, m, o.site)
-		t.resume <- opResult{ok: true}
+		e.wake(t, opResult{ok: true})
 
 	case opLock:
 		m := o.mutex
 		if m.holder == t {
-			t.resume <- opResult{err: fmt.Errorf("sim: thread %d re-locking held %s", t.id, m)}
+			e.wake(t, opResult{err: fmt.Errorf("sim: thread %d re-locking held %s", t.id, m)})
 			return
 		}
 		if m.holder != nil {
-			m.waiters = append(m.waiters, t)
-			e.runnable-- // stays parked in the mutex queue
+			m.waiters = append(m.waiters, t) // stays parked in the mutex queue
 			return
 		}
 		t.clock = cycles.Max(t.clock, m.lastRelease).Add(cycles.LockUncontended)
 		e.grantLock(t, m, o.site)
-		t.resume <- opResult{}
+		e.wake(t, opResult{})
 
 	case opUnlock:
 		m := o.mutex
 		if m.holder != t {
-			t.resume <- opResult{err: fmt.Errorf("sim: thread %d unlocking %s it does not hold", t.id, m)}
+			e.wake(t, opResult{err: fmt.Errorf("sim: thread %d unlocking %s it does not hold", t.id, m)})
 			return
 		}
-		entry := t.popSection(m)
-		if entry == nil {
-			t.resume <- opResult{err: fmt.Errorf("sim: thread %d has no section for %s", t.id, m)}
+		entry, ok := t.popSection(m)
+		if !ok {
+			e.wake(t, opResult{err: fmt.Errorf("sim: thread %d has no section for %s", t.id, m)})
 			return
 		}
 		t.charge(e.detector.CSExit(t, entry.Section, m))
@@ -854,21 +886,13 @@ func (e *Engine) execute(t *Thread) {
 		delete(t.held, m)
 		m.lastRelease = t.clock
 		m.holder = nil
-		if len(m.waiters) > 0 {
-			w := e.dequeueWaiter(m)
-			w.clock = cycles.Max(w.clock, m.lastRelease).Add(cycles.LockHandoff)
-			m.contended++
-			e.grantLock(w, m, w.pending.site)
-			e.runnable++
-			w.resume <- opResult{}
-		}
-		t.resume <- opResult{}
+		e.wake(t, opResult{}) // the unlocker first: often self, so no switch
+		e.wakeMutexWaiter(m)
 
 	case opBarrier:
 		b := o.barrier
 		b.waiting = append(b.waiting, t)
 		if len(b.waiting) < b.n {
-			e.runnable--
 			return
 		}
 		var tmax cycles.Time
@@ -881,21 +905,21 @@ func (e *Engine) execute(t *Thread) {
 		b.waiting = nil
 		b.passes++
 		e.noteSync("barrier", t.id, len(group), "", tmax)
+		e.wake(t, opResult{})
 		for _, w := range group {
 			w.clock = tmax.Add(d)
 			if w != t {
-				e.runnable++
-				w.resume <- opResult{}
+				e.wake(w, opResult{})
 			}
 		}
-		t.resume <- opResult{}
 
 	case opSpawn:
 		t.charge(cycles.ThreadSpawn)
 		child := e.startThread(o.site, t.clock, o.body)
 		e.detector.ThreadSpawned(t, child)
 		e.noteSync("spawn", t.id, child.id, o.site, t.clock)
-		t.resume <- opResult{thread: child}
+		e.wake(t, opResult{thread: child})
+		e.wake(child, opResult{})
 
 	case opJoin:
 		target := o.thread
@@ -903,51 +927,66 @@ func (e *Engine) execute(t *Thread) {
 			t.clock = cycles.Max(t.clock, target.final)
 			e.detector.ThreadJoined(t, target)
 			e.noteSync("join", t.id, target.id, "", t.clock)
-			t.resume <- opResult{}
+			e.wake(t, opResult{})
 			return
 		}
 		target.joiners = append(target.joiners, t)
-		e.runnable--
 
 	case opExit:
 		e.detector.ThreadExited(t)
 		t.done = true
 		t.final = t.clock
 		e.noteSync("exit", t.id, -1, "", t.final)
-		e.runnable--
 		for _, j := range t.joiners {
 			j.clock = cycles.Max(j.clock, t.final)
 			e.detector.ThreadJoined(j, t)
 			e.noteSync("join", j.id, t.id, "", j.clock)
-			e.runnable++
-			j.resume <- opResult{}
+			e.wake(j, opResult{})
 		}
 		t.joiners = nil
+		// The exited thread needs no turn: if it is the loop holder it
+		// passes the scheduler on and its goroutine ends; otherwise its
+		// goroutine, parked in schedule, is released to end concurrently
+		// — it touches no engine state on the way out.
 		t.resume <- opResult{}
 
 	default:
-		t.resume <- opResult{err: fmt.Errorf("sim: unknown op kind %d", o.kind)}
+		e.wake(t, opResult{err: fmt.Errorf("sim: unknown op kind %d", o.kind)})
 	}
 }
 
-// dequeueWaiter removes and returns the min-clock waiter of m.
-func (e *Engine) dequeueWaiter(m *Mutex) *Thread {
+// pickWaiter removes and returns the min-clock thread of a wait queue,
+// ties broken by the seed-keyed prio like pickNext.
+func (e *Engine) pickWaiter(q *[]*Thread) *Thread {
 	best := 0
-	bestPrio := e.prio(m.waiters[0])
-	for i := 1; i < len(m.waiters); i++ {
-		w := m.waiters[i]
+	bestPrio := e.prio((*q)[0])
+	for i := 1; i < len(*q); i++ {
+		w := (*q)[i]
 		switch {
-		case w.clock < m.waiters[best].clock:
+		case w.clock < (*q)[best].clock:
 			best, bestPrio = i, e.prio(w)
-		case w.clock == m.waiters[best].clock:
+		case w.clock == (*q)[best].clock:
 			if p := e.prio(w); p < bestPrio {
 				best, bestPrio = i, p
 			}
 		}
 	}
-	w := m.waiters[best]
-	m.waiters = append(m.waiters[:best], m.waiters[best+1:]...)
+	w := (*q)[best]
+	*q = append((*q)[:best], (*q)[best+1:]...)
 	return w
+}
+
+// wakeMutexWaiter hands a released mutex to its min-clock waiter, if any:
+// after an unlock and after a condition wait released the mutex.
+func (e *Engine) wakeMutexWaiter(m *Mutex) {
+	if m.holder != nil || len(m.waiters) == 0 {
+		return
+	}
+	w := e.pickWaiter(&m.waiters)
+	w.clock = cycles.Max(w.clock, m.lastRelease).Add(cycles.LockHandoff)
+	m.contended++
+	e.grantLock(w, m, w.pending.site)
+	e.wake(w, opResult{})
 }
 
 // grantLock completes a lock acquisition: section bookkeeping and the
@@ -959,7 +998,7 @@ func (e *Engine) grantLock(t *Thread, m *Mutex, site string) {
 	cs := e.section(site)
 	cs.entries++
 	e.totalCSEntries++
-	t.Sections = append(t.Sections, &SectionEntry{Section: cs, Mutex: m, Enter: t.clock})
+	t.Sections = append(t.Sections, SectionEntry{Section: cs, Mutex: m, Enter: t.clock})
 	e.enterSection(cs)
 	e.noteSync("lock", t.id, -1, site, t.clock)
 	t.charge(e.detector.CSEnter(t, cs, m))
@@ -980,32 +1019,22 @@ func (e *Engine) leaveSection(cs *CriticalSection) {
 }
 
 // popSection removes and returns the innermost section entry of t whose
-// mutex is m, or nil.
-func (t *Thread) popSection(m *Mutex) *SectionEntry {
+// mutex is m; ok is false when t has none.
+func (t *Thread) popSection(m *Mutex) (entry SectionEntry, ok bool) {
 	for i := len(t.Sections) - 1; i >= 0; i-- {
 		if t.Sections[i].Mutex == m {
-			entry := t.Sections[i]
+			entry = t.Sections[i]
 			t.Sections = append(t.Sections[:i], t.Sections[i+1:]...)
-			return entry
+			return entry, true
 		}
 	}
-	return nil
-}
-
-// executeAccess performs one batched data access on the scalar path and
-// resumes the thread; accessCore does the work, shared with batch replay.
-func (e *Engine) executeAccess(t *Thread, o op) {
-	if err := e.accessCore(t, o.obj, o.off, o.size, o.access, o.site); err != nil {
-		t.resume <- opResult{err: err}
-		return
-	}
-	t.resume <- opResult{}
+	return SectionEntry{}, false
 }
 
 // accessCore performs one data access: translation through the dTLB per
-// touched page, the base access cost, and the detector hook. It runs on
-// the scheduler goroutine for both the scalar path and the batch replay,
-// so the engine's scratch record is safe to reuse — a local Access would
+// touched page, the base access cost, and the detector hook. It runs in
+// the pick loop, under sched, for both the scalar path and the batch
+// replay, so the engine's scratch record is safe to reuse — a local Access would
 // escape to the heap through the OnAccess interface call, costing one
 // allocation per simulated access.
 func (e *Engine) accessCore(t *Thread, obj *alloc.Object, off, size uint64, kind mpk.AccessKind, site string) error {
@@ -1044,16 +1073,6 @@ func (e *Engine) accessCore(t *Thread, obj *alloc.Object, off, size uint64, kind
 	}
 	t.charge(e.detector.OnAccess(&e.scratch))
 	return nil
-}
-
-// executeSweep performs one access per object of a pool in a single
-// engine operation and resumes the thread; sweepCore does the work.
-func (e *Engine) executeSweep(t *Thread, o op) {
-	if err := e.sweepCore(t, o.objs, o.size, o.access, o.site); err != nil {
-		t.resume <- opResult{err: err}
-		return
-	}
-	t.resume <- opResult{}
 }
 
 // sweepCore accesses every object of a pool, translating each object's

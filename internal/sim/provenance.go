@@ -14,10 +14,11 @@ package sim
 // allocates, but only when a race is actually reported — race recording
 // is already the allocating slow path.
 //
-// Every detector records races on the scheduler goroutine: the scalar and
-// batch-replay paths run there, and the EpochDetector contract forbids
-// admitting an access that could report a race into a parallel epoch. So
-// BuildProvenance may read engine state without locking.
+// Every detector records races in the pick loop, under the engine's
+// sched mutex: the scalar and batch-replay paths run there, and the
+// EpochDetector contract forbids admitting an access that could report a
+// race into a parallel epoch. So BuildProvenance may read engine state
+// without locking.
 
 import (
 	"sort"
@@ -108,8 +109,8 @@ func (e *Engine) noteSync(kind string, thread, other int, label string, at cycle
 // report: the access pair from the report itself, the detecting thread's
 // held locks, the engine's epoch/drain position, and the recent sync
 // edges. Detector-specific context (Kard's domain history) is filled in
-// by the caller afterwards. Must run on the scheduler goroutine, where
-// all race recording happens.
+// by the caller afterwards. Must run in the pick loop, where all race
+// recording happens.
 func (e *Engine) BuildProvenance(r *Race) *RaceProvenance {
 	p := &RaceProvenance{
 		First: AccessDesc{

@@ -74,51 +74,49 @@ func (e *Engine) executeRW(t *Thread, o op) {
 	switch o.kind {
 	case opRLock:
 		if rw.readers[t] || rw.writer == t {
-			t.resume <- opResult{err: fmt.Errorf("sim: thread %d re-acquiring %s", t.id, rw)}
+			e.wake(t, opResult{err: fmt.Errorf("sim: thread %d re-acquiring %s", t.id, rw)})
 			return
 		}
 		if rw.writer != nil || len(rw.waitingW) > 0 {
 			rw.waitingR = append(rw.waitingR, t)
-			e.runnable--
 			return
 		}
 		e.grantRead(t, rw, o.site)
-		t.resume <- opResult{}
+		e.wake(t, opResult{})
 
 	case opRUnlock:
 		if !rw.readers[t] {
-			t.resume <- opResult{err: fmt.Errorf("sim: thread %d read-unlocking %s it does not hold", t.id, rw)}
+			e.wake(t, opResult{err: fmt.Errorf("sim: thread %d read-unlocking %s it does not hold", t.id, rw)})
 			return
 		}
 		e.exitRWSection(t, rw)
 		delete(rw.readers, t)
 		rw.lastRelease = t.clock
+		e.wake(t, opResult{})
 		e.wakeRW(rw)
-		t.resume <- opResult{}
 
 	case opWLock:
 		if rw.readers[t] || rw.writer == t {
-			t.resume <- opResult{err: fmt.Errorf("sim: thread %d re-acquiring %s", t.id, rw)}
+			e.wake(t, opResult{err: fmt.Errorf("sim: thread %d re-acquiring %s", t.id, rw)})
 			return
 		}
 		if rw.writer != nil || len(rw.readers) > 0 {
 			rw.waitingW = append(rw.waitingW, t)
-			e.runnable--
 			return
 		}
 		e.grantWrite(t, rw, o.site)
-		t.resume <- opResult{}
+		e.wake(t, opResult{})
 
 	case opWUnlock:
 		if rw.writer != t {
-			t.resume <- opResult{err: fmt.Errorf("sim: thread %d write-unlocking %s it does not hold", t.id, rw)}
+			e.wake(t, opResult{err: fmt.Errorf("sim: thread %d write-unlocking %s it does not hold", t.id, rw)})
 			return
 		}
 		e.exitRWSection(t, rw)
 		rw.writer = nil
 		rw.lastRelease = t.clock
+		e.wake(t, opResult{})
 		e.wakeRW(rw)
-		t.resume <- opResult{}
 	}
 }
 
@@ -140,14 +138,14 @@ func (e *Engine) enterRWSection(t *Thread, rw *RWMutex, site string) {
 	cs := e.section(site)
 	cs.entries++
 	e.totalCSEntries++
-	t.Sections = append(t.Sections, &SectionEntry{Section: cs, Mutex: rw.inner, Enter: t.clock})
+	t.Sections = append(t.Sections, SectionEntry{Section: cs, Mutex: rw.inner, Enter: t.clock})
 	e.enterSection(cs)
 	t.charge(e.detector.CSEnter(t, cs, rw.inner))
 }
 
 func (e *Engine) exitRWSection(t *Thread, rw *RWMutex) {
-	entry := t.popSection(rw.inner)
-	if entry == nil {
+	entry, ok := t.popSection(rw.inner)
+	if !ok {
 		panic(fmt.Sprintf("sim: thread %d has no section for %s", t.id, rw))
 	}
 	t.charge(e.detector.CSExit(t, entry.Section, rw.inner))
@@ -166,38 +164,16 @@ func (e *Engine) wakeRW(rw *RWMutex) {
 		if len(rw.readers) > 0 {
 			return // writer must wait for readers to drain
 		}
-		w := e.pickRWWaiter(&rw.waitingW)
+		w := e.pickWaiter(&rw.waitingW)
 		w.clock = cycles.Max(w.clock, rw.lastRelease).Add(cycles.LockHandoff)
 		e.grantWrite(w, rw, w.pending.site)
-		e.runnable++
-		w.resume <- opResult{}
+		e.wake(w, opResult{})
 		return
 	}
 	for len(rw.waitingR) > 0 {
-		r := e.pickRWWaiter(&rw.waitingR)
+		r := e.pickWaiter(&rw.waitingR)
 		r.clock = cycles.Max(r.clock, rw.lastRelease).Add(cycles.LockHandoff)
 		e.grantRead(r, rw, r.pending.site)
-		e.runnable++
-		r.resume <- opResult{}
+		e.wake(r, opResult{})
 	}
-}
-
-// pickRWWaiter removes and returns the min-clock thread from the queue.
-func (e *Engine) pickRWWaiter(q *[]*Thread) *Thread {
-	best := 0
-	bestPrio := e.prio((*q)[0])
-	for i := 1; i < len(*q); i++ {
-		w := (*q)[i]
-		switch {
-		case w.clock < (*q)[best].clock:
-			best, bestPrio = i, e.prio(w)
-		case w.clock == (*q)[best].clock:
-			if p := e.prio(w); p < bestPrio {
-				best, bestPrio = i, p
-			}
-		}
-	}
-	w := (*q)[best]
-	*q = append((*q)[:best], (*q)[best+1:]...)
-	return w
 }

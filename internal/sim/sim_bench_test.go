@@ -10,7 +10,8 @@ import (
 )
 
 // BenchmarkOpDispatch measures raw engine throughput: one compute
-// operation through the park/pick/resume scheduler.
+// operation parked, picked, and executed by the pick loop on the
+// submitting goroutine, which then resumes itself without a switch.
 func BenchmarkOpDispatch(b *testing.B) {
 	e := New(Config{}, nil)
 	if _, err := e.Run(func(m *Thread) {
@@ -68,9 +69,8 @@ func BenchmarkContendedScheduling(b *testing.B) {
 // dispatch, dTLB translate (warm, so the MRU fast path fires), cycle
 // accounting, and the detector hook — at steady state, where it must not
 // allocate: the engine-side work is zero-alloc (scratch Access record,
-// radix table, map-free TLB), and the only remaining allocations are the
-// scheduler's park/resume channel operations, which Go accounts to the
-// runtime, not the benchmark loop.
+// radix table, map-free TLB), and a buffer-full drain parks and resumes
+// the thread on its own goroutine, allocating nothing either.
 func BenchmarkAccessSteadyState(b *testing.B) {
 	e := New(Config{}, nil)
 	if _, err := e.Run(func(m *Thread) {

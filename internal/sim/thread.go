@@ -10,11 +10,11 @@ import (
 )
 
 // Thread is one simulated program thread. The workload body runs in its
-// own goroutine, but every operation parks at the scheduler, and between
-// operations the body holds the engine's run token, so at most one
-// thread executes Go code at a time: runs are deterministic and body
-// code may touch shared test/workload state without host-level data
-// races.
+// own goroutine, and every operation parks it and runs the engine's pick
+// loop on that goroutine; the loop resumes one woken thread at a time, in
+// wake order, so at most one thread executes Go code at a time: runs are
+// deterministic and body code may touch shared test/workload state
+// without host-level data races.
 //
 // Thread methods panic on programming errors (double free, unlocking a
 // mutex the thread does not hold); a simulated program that misuses the
@@ -34,7 +34,7 @@ type Thread struct {
 
 	// Sections is the thread's stack of active critical sections, the
 	// innermost last. The engine maintains it; detectors read it.
-	Sections []*SectionEntry
+	Sections []SectionEntry
 
 	// Detector scratch: an arbitrary per-thread state pointer a
 	// detector may hang its thread-local data on.
@@ -242,21 +242,27 @@ func (t *Thread) LoadBytes(o *alloc.Object, off uint64, b []byte) {
 	}
 }
 
-// submit parks the thread at the scheduler with its next operation and
-// blocks until the engine has executed it — and, under batched execution,
-// until any buffered accesses queued before it have replayed. The
-// operation count is charged engine-side at activation (Engine.activate),
-// not here, so batched entries count at the moment they become
-// pick-eligible, exactly as their scalar submissions would.
+// submit parks the thread with its next operation and runs the pick loop
+// on the thread's own goroutine (Engine.schedule) until the operation has
+// executed — and, under batched execution, until any buffered accesses
+// queued before it have replayed. The operation count is charged at
+// activation (Engine.activate), not here, so batched entries count at the
+// moment they become pick-eligible, exactly as their scalar submissions
+// would.
 func (t *Thread) submit(o op) opResult {
+	e := t.eng
+	e.sched.Lock()
+	if e.abort {
+		e.sched.Unlock()
+		panic(errAborted) // engine teardown: unwind without recording
+	}
 	if t.done {
+		e.sched.Unlock()
 		panic(fmt.Sprintf("sim: operation on finished thread %d", t.id))
 	}
 	t.pending = o
-	<-t.eng.runToken // release the body-execution token while parked
-	t.eng.arrivals <- t
-	r := <-t.resume
-	t.eng.runToken <- struct{}{} // reacquire before running body code
+	e.arrive(t)
+	r := e.schedule(t)
 	if r.err != nil {
 		if r.err == errAborted {
 			panic(errAborted) // engine teardown: unwind without recording
