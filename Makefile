@@ -46,8 +46,9 @@ bench-gate:
 	$(GO) run ./cmd/benchgate -baseline BENCH_baseline.json
 
 # The batched-execution benchmarks (DESIGN.md §12) on their own: the
-# steady-state access loop, the batch oracle, the 4-thread epoch path,
-# the sync-point drain stress, and Sweep — all must report 0 allocs/op.
+# steady-state access loop, the explicit batch mode, 4-thread batch
+# replay, the sync-point drain stress, and Sweep — all must report
+# 0 allocs/op.
 bench-parallel:
 	$(GO) test -run '^$$' -bench 'AccessSteadyState|AccessBatched|ReconcileSyncPoint|Sweep' \
 		-benchmem -count 3 ./internal/sim/

@@ -53,7 +53,7 @@ func explainRace(race sim.Race) {
 	} else {
 		fmt.Println("  locks held at detection: none")
 	}
-	fmt.Printf("  detected in reconciliation epoch %d, batch drain %d\n", p.Epoch, p.Drain)
+	fmt.Printf("  detected at batch drain %d\n", p.Drain)
 	if len(p.DomainHistory) > 0 {
 		fmt.Println("  protection-domain history (oldest first):")
 		for _, d := range p.DomainHistory {

@@ -70,9 +70,8 @@ type Options struct {
 	// Kard tunes the Kard detector when Mode is ModeKard.
 	Kard core.Options
 	// ExecMode selects the engine's execution strategy (sim.Config.ExecMode):
-	// "" or "parallel" for batched execution with reconciliation epochs,
-	// "batch" for batching without epochs, "serial" for the scalar oracle.
-	// All three produce byte-identical results; the differential suite
+	// "" or "batch" for batched execution, "serial" for the scalar oracle.
+	// Both produce byte-identical results; the differential suite
 	// enforces it.
 	ExecMode string
 	// Faults, when non-empty, arms deterministic fault injection for the
@@ -103,7 +102,7 @@ type Options struct {
 	Metrics bool
 	// Trace, when non-nil, is the trace track the run's engine records
 	// boundary events onto (sim.Config.Trace): the run span, drains,
-	// epochs, sync-rate instants. Like Metrics it never alters simulated
+	// sync-rate instants. Like Metrics it never alters simulated
 	// behavior, so it does not participate in cache keys, and it is
 	// excluded from serialized results.
 	Trace *trace.Track `json:"-"`

@@ -357,61 +357,4 @@ func (d *Detector) Finish() {}
 // Races implements sim.Detector.
 func (d *Detector) Races() []sim.Race { return d.races }
 
-// EpochCheck implements sim.EpochDetector: an access may commit inside a
-// parallel epoch only if replaying it cannot report a race and touches
-// nothing outside its object's shadow ring. Three veto classes:
-//
-//   - Exact mode: the per-granule shadow map inserts granules lazily,
-//     a mutation on the check path.
-//   - Unknown object (DetectorState nil): the first access creates the
-//     ring; one vetoed epoch replays it on the scalar path and makes the
-//     object known, so no parallel epoch ever writes the field.
-//   - Any surviving ring conflict: the same scan OnAccess performs. A
-//     conflict here would call report; epochs never report.
-//
-// The verdict stays valid through the epoch: the only ring writes before
-// the commit are this thread's own (the engine guarantees one thread per
-// object), and own-tid entries are skipped by the scan — same-thread
-// overwrites can only evict conflicting entries, never add them, and the
-// thread's vector clock is frozen (no synchronization inside an epoch).
-func (d *Detector) EpochCheck(a *sim.Access) bool {
-	if d.opts.Exact {
-		return false
-	}
-	sh, _ := a.Object.DetectorState.(*shadow)
-	if sh == nil {
-		return false
-	}
-	t := a.Thread
-	tc := clockOf(t)
-	off := a.Offset()
-	lo, hi := off, off+a.Size
-	for i := range sh.recent {
-		prev := &sh.recent[i]
-		if !prev.valid || prev.ep.tid == t.ID() {
-			continue
-		}
-		if prev.hi <= lo || hi <= prev.lo {
-			continue // disjoint ranges
-		}
-		if prev.kind != mpk.Write && a.Kind != mpk.Write {
-			continue // read-read
-		}
-		if prev.ep.happensBefore(tc.vc) {
-			continue // ordered
-		}
-		return false // OnAccess would report
-	}
-	return true
-}
-
-// EpochCost implements sim.EpochDetector: the per-unit instrumentation
-// charge, independent of detector state and thread clocks.
-func (d *Detector) EpochCost(a *sim.Access) cycles.Duration {
-	return cycles.Duration(a.Units()) * cycles.TSanAccess
-}
-
-var (
-	_ sim.Detector      = (*Detector)(nil)
-	_ sim.EpochDetector = (*Detector)(nil)
-)
+var _ sim.Detector = (*Detector)(nil)

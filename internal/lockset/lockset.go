@@ -212,35 +212,4 @@ func sectionLabel(t *sim.Thread) string {
 	return "<no section>"
 }
 
-// EpochCheck implements sim.EpochDetector: only the two ownership states
-// that Eraser resolves without refining C(v) are epoch-safe — Virgin
-// (becomes Exclusive, owned by the accessor) and Exclusive under the same
-// owner. Both mutate only the object's own record and can never report.
-// Unknown objects (DetectorState nil) veto because the first access
-// creates the record, so no parallel epoch ever writes the field;
-// Shared/Shared-Modified veto because refine may empty C(v) and report. Same-thread epoch commits preserve the verdict: Virgin can
-// only advance to Exclusive-with-this-owner, which is itself safe.
-func (d *Detector) EpochCheck(a *sim.Access) bool {
-	info, _ := a.Object.DetectorState.(*objInfo)
-	if info == nil {
-		return false
-	}
-	switch info.st {
-	case virgin:
-		return true
-	case exclusive:
-		return info.owner == a.Thread.ID()
-	}
-	return false
-}
-
-// EpochCost implements sim.EpochDetector: the per-unit Eraser charge,
-// independent of detector state and thread clocks.
-func (d *Detector) EpochCost(a *sim.Access) cycles.Duration {
-	return cycles.Duration(a.Units()) * cycles.LocksetAccess
-}
-
-var (
-	_ sim.Detector      = (*Detector)(nil)
-	_ sim.EpochDetector = (*Detector)(nil)
-)
+var _ sim.Detector = (*Detector)(nil)

@@ -94,19 +94,6 @@ func (t *TLB) Lookup(p Page) *PTE {
 	return t.lookupSlow(p)
 }
 
-// Resident reports whether p is cached, without charging the hit/miss
-// counters, setting used bits, or moving the MRU hint. The engine's epoch
-// admission pass (DESIGN.md §12) probes every page a batch touches before
-// committing any of them, so the probe must be observation-free: a vetoed
-// epoch replays its batches through Translate, which must then see a TLB
-// bit-identical to one the probe never examined.
-func (t *TLB) Resident(p Page) bool {
-	if m := uint(t.mru); m < uint(len(t.slots)) && t.slots[m].page == p && t.slots[m].present {
-		return true
-	}
-	return t.idx.get(p) >= 0
-}
-
 func (t *TLB) lookupSlow(p Page) *PTE {
 	if i := t.idx.get(p); i >= 0 {
 		t.hits++

@@ -73,9 +73,11 @@ type Metrics struct {
 	SimRunsWatchdog   *Counter
 	SimRunsDeadline   *Counter
 
-	// sim — batched execution and epoch reconciliation (DESIGN.md §12).
-	// Per-run tallies are plain engine fields flushed at run teardown, so
-	// the batched access path stays allocation- and atomic-free.
+	// sim — batched execution (DESIGN.md §12). Per-run tallies are plain
+	// engine fields flushed at run teardown, so the batched access path
+	// stays allocation- and atomic-free. The three epoch counters are
+	// always 0: reconciliation epochs were removed, and the families stay
+	// registered only because perfbench/counters.go still reads them.
 	SimBatchDrains   *Counter
 	SimBatchDepth    *Histogram
 	SimEpochs        *Counter
@@ -201,11 +203,11 @@ func RegisterMetrics(r *Registry) *Metrics {
 		SimBatchDepth: r.Histogram("kard_sim_batch_depth",
 			"Buffered accesses per batch drain.", BatchDepthBuckets),
 		SimEpochs: r.Counter("kard_sim_epochs_total",
-			"Parallel reconciliation epochs executed (conflict-free batches fanned out)."),
+			"Always 0: parallel reconciliation epochs were removed from the engine."),
 		SimEpochAccesses: r.Counter("kard_sim_epoch_accesses_total",
-			"Access operations committed inside parallel epochs instead of the scalar replay."),
+			"Always 0: parallel reconciliation epochs were removed from the engine."),
 		SimEpochVetoes: r.Counter("kard_sim_epoch_vetoes_total",
-			"Epoch admissions vetoed by the conflict check and replayed on the scalar path."),
+			"Always 0: parallel reconciliation epochs were removed from the engine."),
 
 		SvcQueueDepth: r.Gauge("kard_service_queue_depth", "Jobs admitted and not yet dispatched to a worker."),
 		SvcRejectsSaturated: r.Counter("kard_service_rejects_total",

@@ -13,12 +13,12 @@ import (
 	"kard/internal/mpk"
 )
 
-// epochWorkload is a program shaped to let reconciliation epochs fire:
+// mixedWorkload is a program shaped to exercise every batch drain path:
 // several threads, each hammering its own objects with long access runs
-// separated only by pure sync points (buffer-full drains and computes),
-// plus enough cross-thread synchronization (locks, a barrier, a sweep)
-// to exercise the drain-at-sync-point path too.
-func epochWorkload(threads, accesses int) func(e *Engine, m *Thread) {
+// separated only by buffer-full drains and computes, plus enough
+// cross-thread synchronization (locks, a barrier, a sweep) to exercise
+// the drain-at-sync-point path too.
+func mixedWorkload(threads, accesses int) func(e *Engine, m *Thread) {
 	return func(e *Engine, m *Thread) {
 		mu := e.NewMutex("mu")
 		bar := e.NewBarrier(threads)
@@ -65,20 +65,28 @@ func runMode(t *testing.T, mode string, seed int64, body func(e *Engine, m *Thre
 }
 
 // TestExecModesByteIdentical is the engine-level differential check: the
-// same program under serial, batch, and parallel execution must produce
+// same program under serial and batch execution must produce
 // byte-identical statistics — execution times, operation counts, TLB
-// counters, everything JSON encodes. The full workload corpus version
-// lives in the harness package; this one pins the engine in isolation.
+// counters, everything JSON encodes. It also guards the comparison
+// against passing vacuously: batch mode must actually drain batches, and
+// serial mode must never drain. The full workload corpus version lives
+// in the harness package; this one pins the engine in isolation.
 func TestExecModesByteIdentical(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
-		body := epochWorkload(4, 400)
-		want, _ := runMode(t, ExecModeSerial, seed, body)
+		body := mixedWorkload(4, 400)
+		want, es := runMode(t, ExecModeSerial, seed, body)
+		if drains := es.BatchStats(); drains != 0 {
+			t.Fatalf("seed %d: serial mode drained %d batches", seed, drains)
+		}
 		wantJS, err := json.Marshal(want)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, mode := range []string{ExecModeBatch, ExecModeParallel, ""} {
-			got, _ := runMode(t, mode, seed, body)
+		for _, mode := range []string{ExecModeBatch, ""} {
+			got, eb := runMode(t, mode, seed, body)
+			if drains := eb.BatchStats(); drains == 0 {
+				t.Errorf("seed %d mode %q: batch mode never drained", seed, mode)
+			}
 			gotJS, err := json.Marshal(got)
 			if err != nil {
 				t.Fatal(err)
@@ -91,47 +99,13 @@ func TestExecModesByteIdentical(t *testing.T) {
 	}
 }
 
-// TestEpochsFire proves the parallel path is actually exercised: a
-// multi-threaded access-heavy program under ExecModeParallel must commit
-// at least one reconciliation epoch, and its stats must still match the
-// serial oracle (TestExecModesByteIdentical covers the comparison; this
-// test guards against epochs silently never firing, which would make the
-// parallel mode an expensive alias for batch mode).
-func TestEpochsFire(t *testing.T) {
-	body := epochWorkload(4, 400)
-	_, e := runMode(t, ExecModeParallel, 1, body)
-	drains, epochs, accesses, _ := e.BatchStats()
-	if epochs == 0 {
-		t.Fatalf("no epochs committed (drains=%d)", drains)
-	}
-	if accesses == 0 {
-		t.Fatal("epochs committed but no accesses attributed to them")
-	}
-	t.Logf("drains=%d epochs=%d epochAccesses=%d", drains, epochs, accesses)
-
-	// Batch mode must never run epochs.
-	_, eb := runMode(t, ExecModeBatch, 1, body)
-	if _, epochs, _, _ := eb.BatchStats(); epochs != 0 {
-		t.Fatalf("batch mode ran %d epochs", epochs)
-	}
-	// Serial mode must never drain batches.
-	_, es := runMode(t, ExecModeSerial, 1, body)
-	if drains, _, _, _ := es.BatchStats(); drains != 0 {
-		t.Fatalf("serial mode drained %d batches", drains)
-	}
-}
-
-// TestBatchDrainNoGoroutineLeak: epoch workers are per-epoch goroutines
-// that must all exit with the run; batch drains must not leave threads
-// parked. After enough runs to have committed many epochs the process
-// goroutine count must return to its baseline.
+// TestBatchDrainNoGoroutineLeak: batch drains must not leave threads
+// parked. After several runs full of buffer-full and sync-point drains
+// the process goroutine count must return to its baseline.
 func TestBatchDrainNoGoroutineLeak(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for i := 0; i < 5; i++ {
-		_, e := runMode(t, ExecModeParallel, int64(i+1), epochWorkload(4, 200))
-		if _, epochs, _, _ := e.BatchStats(); i == 0 && epochs == 0 {
-			t.Log("warning: no epochs fired in leak-check workload")
-		}
+		runMode(t, ExecModeBatch, int64(i+1), mixedWorkload(4, 200))
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
@@ -276,37 +250,41 @@ func TestFlushSemantics(t *testing.T) {
 }
 
 // TestBufferFullDrains: the buffer drains automatically when it reaches
-// the configured capacity, without an intervening sync point.
+// DefaultBatchSize entries, without an intervening sync point.
 func TestBufferFullDrains(t *testing.T) {
-	e := New(Config{BatchSize: 8}, nil)
+	e := New(Config{}, nil)
 	if _, err := e.Run(func(m *Thread) {
 		o := m.Malloc(64, "o")
-		for i := 0; i < 7; i++ {
+		for i := 0; i < DefaultBatchSize-1; i++ {
 			m.Read(o, 0, 8, "r")
 		}
-		if n := m.BufferedAccesses(); n != 7 {
-			t.Fatalf("BufferedAccesses = %d, want 7", n)
+		if n := m.BufferedAccesses(); n != DefaultBatchSize-1 {
+			t.Fatalf("BufferedAccesses = %d, want %d", n, DefaultBatchSize-1)
 		}
-		m.Read(o, 0, 8, "r8") // fills the buffer: drains
+		m.Read(o, 0, 8, "last") // fills the buffer: drains
 		if n := m.BufferedAccesses(); n != 0 {
 			t.Fatalf("BufferedAccesses after fill = %d, want 0", n)
 		}
 	}); err != nil {
 		t.Fatal(err)
 	}
-	drains, _, _, _ := e.BatchStats()
-	if drains == 0 {
+	if e.BatchStats() == 0 {
 		t.Error("no drain recorded")
 	}
 }
 
-// TestInvalidExecModePanics: a typo in Config.ExecMode must fail loudly
-// at engine construction, not silently fall back to a default.
+// TestInvalidExecModePanics: a typo in Config.ExecMode — or the removed
+// "parallel" mode — must fail loudly at engine construction, not silently
+// fall back to a default.
 func TestInvalidExecModePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("New with a bogus ExecMode should panic")
-		}
-	}()
-	New(Config{ExecMode: "turbo"}, nil)
+	for _, mode := range []string{"turbo", "parallel"} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New with ExecMode %q should panic", mode)
+				}
+			}()
+			New(Config{ExecMode: mode}, nil)
+		}()
+	}
 }

@@ -60,20 +60,14 @@ type Config struct {
 	// run enforces it).
 	Metrics bool
 	// ExecMode selects the access execution path (DESIGN.md §12):
-	// ExecModeParallel ("" and the default) buffers accesses per thread,
-	// replays them through the scheduler, and commits conflict-free
-	// batches concurrently in reconciliation epochs; ExecModeBatch
-	// buffers and replays without epochs; ExecModeSerial parks every
-	// access individually — the differential oracle. All three produce
+	// ExecModeBatch ("" and the default) buffers accesses per thread and
+	// replays them through the scheduler; ExecModeSerial parks every
+	// access individually — the differential oracle. Both produce
 	// byte-identical statistics, verdicts, and race reports. New panics
 	// on any other value.
 	ExecMode string
-	// BatchSize overrides the per-thread access buffer capacity
-	// (0 = DefaultBatchSize). Meaningless under ExecModeSerial.
-	BatchSize int
 	// Trace, when non-nil, receives structured span events from the run:
-	// the run span, batch-drain instants, reconciliation-epoch spans with
-	// their commit/replay phases, epoch vetoes, watchdog firings, and
+	// the run span, batch-drain instants, watchdog firings, and
 	// fault-injection retries. Events record at operation-boundary rate,
 	// never per access, and all timestamps are virtual clocks — a traced
 	// run is as deterministic as an untraced one, and a nil Trace costs
@@ -154,29 +148,16 @@ type Engine struct {
 	// heap through the interface call); detectors must not retain the
 	// pointer past the OnAccess call, which the Detector interface
 	// documents. Those paths run only inside the pick loop, under sched,
-	// so one record per engine is safe; parallel epochs use the
-	// per-thread epochScratch records instead.
+	// so one record per engine is safe.
 	scratch Access
 
 	// Batched execution (DESIGN.md §12, internal/sim/batch.go).
-	execMode  string // resolved Config.ExecMode
-	batching  bool   // execMode != ExecModeSerial
-	batchSize int
-	// epochDet is non-nil when reconciliation epochs may run: parallel
-	// mode, an EpochDetector, and the CLOCK dTLB (the set-associative
-	// model's LRU touches are order-sensitive, so it never epochs).
-	epochDet  EpochDetector
-	epochHold bool // a vetoed configuration; re-check only after a new arrival
-	epochFoot map[*alloc.Object]*Thread
-	// epochThreads is the reusable per-epoch participant list.
-	epochThreads []*Thread
+	execMode string // resolved Config.ExecMode
+	batching bool   // execMode != ExecModeSerial
 
-	// Per-run batch/epoch telemetry, flushed to obs at teardown.
-	batchDrains   uint64
-	batchDepth    [10]uint64 // power-of-two drain-depth buckets
-	epochCount    uint64
-	epochAccesses uint64
-	epochVetoes   uint64
+	// Per-run batch telemetry, flushed to obs at teardown.
+	batchDrains uint64
+	batchDepth  [10]uint64 // power-of-two drain-depth buckets
 
 	// tr is the structured trace track (Config.Trace; nil = off). All
 	// events record inside the pick loop or Run, at boundary rate.
@@ -218,35 +199,23 @@ func New(cfg Config, det Detector) *Engine {
 		activeSections: make(map[*CriticalSection]int),
 	}
 	switch cfg.ExecMode {
-	case "", ExecModeParallel:
-		e.execMode = ExecModeParallel
-	case ExecModeBatch, ExecModeSerial:
-		e.execMode = cfg.ExecMode
+	case "", ExecModeBatch:
+		e.execMode = ExecModeBatch
+	case ExecModeSerial:
+		e.execMode = ExecModeSerial
 	default:
-		panic(fmt.Sprintf("sim: unknown ExecMode %q (want %q, %q, or %q)",
-			cfg.ExecMode, ExecModeParallel, ExecModeBatch, ExecModeSerial))
+		panic(fmt.Sprintf("sim: unknown ExecMode %q (want %q or %q)",
+			cfg.ExecMode, ExecModeBatch, ExecModeSerial))
 	}
 	if _, ok := det.(interface{ SerialOnly() }); ok {
-		// The detector logs a per-event timeline (sim.Tracer): under the
-		// batched modes its OnAccess calls fire at drain time rather than
-		// at the Read/Write call sites, and a future epoch-capable wrapper
-		// would fire them concurrently. Force the scalar path so the
-		// logged timeline is the interleaving the workload actually wrote.
+		// The detector logs a per-event timeline (sim.Tracer): under batch
+		// mode its OnAccess calls fire at drain time rather than at the
+		// Read/Write call sites. Force the scalar path so the logged
+		// timeline is the interleaving the workload actually wrote.
 		e.execMode = ExecModeSerial
 	}
 	e.batching = e.execMode != ExecModeSerial
 	e.tr = cfg.Trace
-	e.batchSize = cfg.BatchSize
-	if e.batchSize <= 0 {
-		e.batchSize = DefaultBatchSize
-	}
-	if e.execMode == ExecModeParallel {
-		if ed, ok := det.(EpochDetector); ok {
-			if _, clock := as.TLB().(*mem.TLB); clock {
-				e.epochDet = ed
-			}
-		}
-	}
 	if !cfg.Faults.Empty() {
 		e.inj = faultinject.New(cfg.Seed, cfg.Faults)
 		as.SetInjector(e.inj)
@@ -488,9 +457,6 @@ func (e *Engine) finishObs(outcome string) {
 			m.SimBatchDepth.ObserveN(float64(uint64(1)<<(i-1)), n)
 		}
 	}
-	m.SimEpochs.Add(e.epochCount)
-	m.SimEpochAccesses.Add(e.epochAccesses)
-	m.SimEpochVetoes.Add(e.epochVetoes)
 	m.SimRaces.Add(uint64(len(e.detector.Races())))
 	if e.inj != nil {
 		fs := e.inj.Stats()
@@ -675,7 +641,6 @@ func (e *Engine) schedule(self *Thread) opResult {
 		}
 	}()
 	for e.readyHead == len(e.ready) && len(e.parked) > 0 {
-		e.tryEpoch()
 		t := e.pickNext()
 		if t.batchPos < len(t.batch) {
 			e.executeBatchEntry(t)
@@ -728,10 +693,8 @@ func (e *Engine) failSchedule(self *Thread, p any) {
 }
 
 // arrive admits a thread that parked at its next operation: telemetry for a
-// freshly drained batch, epoch re-admission (a new arrival is the only
-// event that can change a vetoed epoch configuration), then activation.
+// freshly drained batch, then activation.
 func (e *Engine) arrive(t *Thread) {
-	e.epochHold = false
 	if len(t.batch) > 0 && t.batchPos == 0 {
 		e.noteDrain(len(t.batch))
 		e.tr.InstantArg("drain", "sim", int64(t.clock), "depth", "", int64(len(t.batch)))

@@ -10,12 +10,12 @@ import (
 
 // TestEngineTraceDeterministic: two same-seed runs of the same workload
 // must export byte-identical Chrome JSON, and the export must carry the
-// engine's structural events (run span, drains, epochs).
+// engine's structural events (run span, drains).
 func TestEngineTraceDeterministic(t *testing.T) {
 	export := func() string {
 		tr := trace.NewTracer(7, "sim-test", 0)
 		e := New(Config{Seed: 7, Trace: tr.Track(1, 1, "cell", 0)}, nil)
-		if _, err := e.Run(func(m *Thread) { epochWorkload(4, 400)(e, m) }); err != nil {
+		if _, err := e.Run(func(m *Thread) { mixedWorkload(4, 400)(e, m) }); err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
@@ -28,8 +28,7 @@ func TestEngineTraceDeterministic(t *testing.T) {
 	if a != b {
 		t.Fatal("same-seed traced runs exported different Chrome JSON")
 	}
-	for _, want := range []string{`"name":"run"`, `"name":"drain"`, `"name":"epoch"`,
-		`"name":"epoch.commit"`, `"name":"epoch.replay"`, `"name":"run.outcome"`} {
+	for _, want := range []string{`"name":"run"`, `"name":"drain"`, `"name":"run.outcome"`} {
 		if !strings.Contains(a, want) {
 			t.Errorf("export missing %s", want)
 		}
@@ -42,7 +41,7 @@ func TestEngineTraceDeterministic(t *testing.T) {
 func TestTracedRunMatchesUntraced(t *testing.T) {
 	run := func(track *trace.Track) *Stats {
 		e := New(Config{Seed: 3, Trace: track}, nil)
-		st, err := e.Run(func(m *Thread) { epochWorkload(3, 300)(e, m) })
+		st, err := e.Run(func(m *Thread) { mixedWorkload(3, 300)(e, m) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,7 +56,7 @@ func TestTracedRunMatchesUntraced(t *testing.T) {
 }
 
 // TestTracerForcesSerial is the regression test for the kardtrace
-// decorator under the batched execution modes: a Tracer-wrapped detector
+// decorator under batch mode: a Tracer-wrapped detector
 // must force ExecModeSerial whatever Config.ExecMode asked for, and its
 // logged timeline must be byte-identical to an explicitly serial run.
 func TestTracerForcesSerial(t *testing.T) {
@@ -65,12 +64,12 @@ func TestTracerForcesSerial(t *testing.T) {
 		var log bytes.Buffer
 		det := NewTracer(nil, &log, 0)
 		e := New(Config{Seed: 5, ExecMode: mode}, det)
-		if _, err := e.Run(func(m *Thread) { epochWorkload(3, 200)(e, m) }); err != nil {
+		if _, err := e.Run(func(m *Thread) { mixedWorkload(3, 200)(e, m) }); err != nil {
 			t.Fatal(err)
 		}
 		return e.ExecMode(), log.String()
 	}
-	for _, mode := range []string{ExecModeParallel, ExecModeBatch, ""} {
+	for _, mode := range []string{ExecModeBatch, ""} {
 		got, log := run(mode)
 		if got != ExecModeSerial {
 			t.Fatalf("Tracer under ExecMode %q ran %q, want forced serial", mode, got)

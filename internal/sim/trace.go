@@ -15,8 +15,8 @@ import (
 //
 // A Tracer-driven run always executes on the scalar path: the decorator
 // implements the SerialOnly marker, which makes Engine.New force
-// ExecModeSerial whatever Config.ExecMode asked for. Under the batched
-// modes OnAccess fires at drain time instead of at the Read/Write call
+// ExecModeSerial whatever Config.ExecMode asked for. Under batch mode
+// OnAccess fires at drain time instead of at the Read/Write call
 // sites, so the logged timeline would interleave batch replays with the
 // operations that triggered them — technically the same detector-event
 // order, but not the narrative the tool's users read. The log method is

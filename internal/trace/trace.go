@@ -227,7 +227,7 @@ func (tr *Tracer) snapshot() ([]Event, map[int]string, map[trackKey]string) {
 // It buffers events in a fixed-capacity slice and flushes to the tracer
 // at the capacity boundary. A mutex serializes writers: recording is a
 // few stores under an uncontended lock, cheap enough for boundary-rate
-// instrumentation (drains, epochs, RPCs — never per access).
+// instrumentation (drains, RPCs — never per access).
 type Track struct {
 	tracer *Tracer
 	pid    int
@@ -262,8 +262,8 @@ func (k *Track) nextSpanLocked() uint64 {
 
 // record appends one event, clamping ts monotonically: ts < 0 means
 // "just after the previous event", and a caller-supplied ts that would
-// go backwards (wall-clock ties, epoch commits that advance past a
-// lagging thread) is lifted to lastTs+1. Deterministic inputs stay
+// go backwards (wall-clock ties, per-thread virtual clocks that trail
+// one another) is lifted to lastTs+1. Deterministic inputs stay
 // deterministic under the clamp; every track stays monotonic.
 func (k *Track) record(ev Event) {
 	if k == nil {

@@ -143,11 +143,10 @@ type Config struct {
 	TLBModel string
 	// Kard tunes the Kard detector when Detector is DetectorKard.
 	Kard KardOptions
-	// ExecMode selects the engine's execution strategy: "" or "parallel"
-	// for batched access execution with parallel reconciliation epochs,
-	// "batch" for batching without epochs, "serial" for the scalar
-	// reference path. All modes produce byte-identical reports; serial is
-	// the differential oracle.
+	// ExecMode selects the engine's execution strategy: "" or "batch" for
+	// batched access execution, "serial" for the scalar reference path.
+	// Both produce byte-identical reports; serial is the differential
+	// oracle.
 	ExecMode string
 }
 
